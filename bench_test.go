@@ -335,7 +335,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 				b.ReportAllocs()
 				var res mheta.SearchResult
 				for i := 0; i < b.N; i++ {
-					res, err = mheta.SearchWithWorkers(alg, spec, app, model, 42, workers)
+					res, err = mheta.SearchWithOptions(alg, spec, app, model, 42, mheta.SearchOptions{Workers: workers})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -356,7 +356,7 @@ func serialSearchNs(b *testing.B, alg string, spec mheta.ClusterSpec, app *mheta
 	best := math.MaxFloat64
 	for i := 0; i < 4; i++ {
 		start := time.Now()
-		if _, err := mheta.SearchWithWorkers(alg, spec, app, model, 42, 1); err != nil {
+		if _, err := mheta.SearchWithOptions(alg, spec, app, model, 42, mheta.SearchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 		if el := float64(time.Since(start).Nanoseconds()); i > 0 && el < best {
@@ -385,7 +385,7 @@ func BenchmarkMemoisedEvaluate(b *testing.B) {
 	}
 	memo := search.NewMemo(search.ModelEvaluator{Model: model})
 	out := make([]float64, len(ds))
-	memo.EvaluateBatchInto(out, ds) // warm
+	memo.Evaluate(out, nil, ds) // warm
 
 	// Baseline: the seed's memo scheme — a map keyed by d.String(), which
 	// allocates the key on every lookup, hit or miss.
@@ -405,7 +405,7 @@ func BenchmarkMemoisedEvaluate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		memo.EvaluateBatchInto(out, ds)
+		memo.Evaluate(out, nil, ds)
 	}
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(baseline/perOp, "speedup-vs-string-memo")
@@ -434,12 +434,12 @@ func BenchmarkMemoisedEvaluateObserved(b *testing.B) {
 	memo := search.NewMemo(search.ModelEvaluator{Model: model})
 	memo.Observe(mheta.NewMetrics())
 	out := make([]float64, len(ds))
-	memo.EvaluateBatchInto(out, ds) // warm
+	memo.Evaluate(out, nil, ds) // warm
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		memo.EvaluateBatchInto(out, ds)
+		memo.Evaluate(out, nil, ds)
 	}
 	b.ReportMetric(float64(len(ds)), "dists/batch")
 }
@@ -467,14 +467,14 @@ func BenchmarkMemoConcurrentBatches(b *testing.B) {
 	}
 	memo := search.NewMemo(search.ModelEvaluator{Model: model})
 	warm := make([]float64, len(ds))
-	memo.EvaluateBatchInto(warm, ds) // every batch below is fully memoised
+	memo.Evaluate(warm, nil, ds) // every batch below is fully memoised
 	b.ReportMetric(float64(len(ds)), "dists/batch")
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		out := make([]float64, len(ds))
 		for pb.Next() {
-			memo.EvaluateBatchInto(out, ds)
+			memo.Evaluate(out, nil, ds)
 		}
 	})
 }

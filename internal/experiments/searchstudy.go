@@ -12,6 +12,7 @@ import (
 	"mheta/internal/exec"
 	"mheta/internal/instrument"
 	"mheta/internal/mpi"
+	"mheta/internal/obs"
 	"mheta/internal/search"
 	"mheta/internal/stats"
 )
@@ -50,14 +51,12 @@ func (r *Runner) RunSearchStudy(spec cluster.Spec, ab AppBuilder) (SearchStudy, 
 	if err != nil {
 		return SearchStudy{}, err
 	}
-	var ev search.Evaluator = search.ModelEvaluator{Model: model}
-	if w := r.workers(); w > 1 {
-		// Candidate evaluations fan out over per-worker model clones;
-		// search results are bit-identical to the serial path.
-		pool := search.NewPool(ev, w)
-		pool.Observe(r.Obs)
-		ev = pool
-	}
+	// Candidate evaluations fan out over per-worker model clones when
+	// the runner has several workers; search results are bit-identical to
+	// the serial path. The study scores with the full model.
+	ev := search.ForModel(model, r.workers(), r.Obs, func(m *core.Model, _ *obs.Registry) search.Evaluator {
+		return search.ModelEvaluator{Model: m}
+	})
 
 	study := SearchStudy{Config: spec.Name, App: ab.Name}
 	actual := func(d dist.Distribution) (float64, error) {

@@ -10,7 +10,7 @@ import (
 // return an error from — and threading one through every algorithm would
 // contaminate the bit-identical result contract with cancellation
 // plumbing. Cancellation therefore rides the evaluation path instead:
-// WithContext wraps the evaluator every candidate flows through, and once
+// SearchContext wraps the evaluator every candidate flows through, and once
 // the context is done the next evaluation unwinds the searcher with a
 // private panic that SearchContext converts back into the context's
 // error. The wrapper is transparent until cancellation — same values,
@@ -20,80 +20,21 @@ import (
 // canceled is the private panic sentinel carrying the context error.
 type canceled struct{ err error }
 
-// ctxEvaluator checks the context once per evaluation call (one check per
-// batch — cheap against a model evaluation) and forwards to the inner
-// evaluator, preserving its batch/base capabilities so pools and memos
-// downstream keep their fast paths.
+// ctxEvaluator checks the context once per batch — cheap against a model
+// evaluation — and forwards the batch, base included, to the inner
+// evaluator. After the context is done it panics with the sentinel only
+// SearchContext recovers.
 type ctxEvaluator struct {
-	ctx    context.Context
-	single Evaluator
-	batch  BatchEvaluator     // non-nil when single supports batching
-	baseE  BaseEvaluator      // non-nil when single is base-aware
-	baseB  BaseBatchEvaluator // non-nil when single supports base-aware batching
-}
-
-// WithContext wraps ev so every evaluation first checks ctx; after ctx is
-// done the wrapper panics with a sentinel only SearchContext recovers.
-// Use SearchContext rather than calling a searcher with the wrapped
-// evaluator directly.
-func WithContext(ctx context.Context, ev Evaluator) Evaluator {
-	c := &ctxEvaluator{ctx: ctx, single: ev}
-	if be, ok := ev.(BatchEvaluator); ok {
-		c.batch = be
-	}
-	if be, ok := ev.(BaseEvaluator); ok {
-		c.baseE = be
-	}
-	if bb, ok := ev.(BaseBatchEvaluator); ok {
-		c.baseB = bb
-	}
-	return c
-}
-
-// check panics with the cancellation sentinel once the context is done.
-func (c *ctxEvaluator) check() {
-	if err := c.ctx.Err(); err != nil {
-		panic(canceled{err})
-	}
+	ctx context.Context
+	ev  Evaluator
 }
 
 // Evaluate implements Evaluator.
-func (c *ctxEvaluator) Evaluate(d dist.Distribution) float64 {
-	c.check()
-	return c.single.Evaluate(d)
-}
-
-// EvaluateFrom implements BaseEvaluator.
-func (c *ctxEvaluator) EvaluateFrom(base, d dist.Distribution) float64 {
-	c.check()
-	if c.baseE != nil {
-		return c.baseE.EvaluateFrom(base, d)
+func (c *ctxEvaluator) Evaluate(out []float64, base dist.Distribution, ds []dist.Distribution) {
+	if err := c.ctx.Err(); err != nil {
+		panic(canceled{err})
 	}
-	return c.single.Evaluate(d)
-}
-
-// EvaluateBatchInto implements BatchEvaluator.
-func (c *ctxEvaluator) EvaluateBatchInto(out []float64, ds []dist.Distribution) {
-	c.check()
-	if c.batch != nil {
-		c.batch.EvaluateBatchInto(out, ds)
-		return
-	}
-	evalStride(c.single, out, ds, 0, 1)
-}
-
-// EvaluateBatchFromInto implements BaseBatchEvaluator.
-func (c *ctxEvaluator) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
-	c.check()
-	if c.baseB != nil {
-		c.baseB.EvaluateBatchFromInto(out, base, ds)
-		return
-	}
-	if c.batch != nil {
-		c.batch.EvaluateBatchInto(out, ds)
-		return
-	}
-	evalStrideFrom(c.single, out, base, ds, 0, 1)
+	c.ev.Evaluate(out, base, ds)
 }
 
 // SearchContext runs s over ev honoring ctx: the search aborts at the
@@ -119,5 +60,5 @@ func SearchContext(ctx context.Context, s Searcher, ev Evaluator, total int) (re
 			res, err = Result{Algorithm: s.Name()}, c.err
 		}
 	}()
-	return s.Search(WithContext(ctx, ev), total), nil
+	return s.Search(&ctxEvaluator{ctx: ctx, ev: ev}, total), nil
 }

@@ -70,7 +70,7 @@ func TestSearchContextCancelMidSearch(t *testing.T) {
 			if n.Add(1) == 8 {
 				cancel()
 			}
-			return inner.Evaluate(d)
+			return evalOne(inner, d)
 		})
 		_, err := SearchContext(ctx, s, ev, total)
 		if !errors.Is(err, context.Canceled) {

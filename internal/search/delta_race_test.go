@@ -11,7 +11,7 @@ import (
 
 // TestDeltaConcurrentSharedMemo exercises the race surface of the
 // production parallel-search stack: one shared *Memo in front of a *Pool
-// whose workers each own a DeltaModelEvaluator clone (a single-goroutine
+// whose workers each own a DeltaModelEvaluator (a single-goroutine
 // delta cache over its own model clone), hammered by several goroutines
 // submitting overlapping batches. Under -race this proves the clones
 // share nothing mutable beyond the memo's synchronised table, the pool's
@@ -19,10 +19,7 @@ import (
 // goroutine observes must be bit-identical to a serial full evaluation.
 func TestDeltaConcurrentSharedMemo(t *testing.T) {
 	model := core.MustModel(poolTestParams(8))
-	dme := NewDeltaModelEvaluator(model)
-	dme.Observe(obs.New())
-	pool := NewPool(dme, 4)
-	memo := NewMemo(pool)
+	memo := NewMemo(ForModel(model, 4, obs.New(), NewDeltaModelEvaluator))
 
 	// Overlapping candidate set: block-ish distributions of 400 elements
 	// over 8 nodes with deterministic perturbations, plus repeats so the
@@ -42,7 +39,7 @@ func TestDeltaConcurrentSharedMemo(t *testing.T) {
 	ref := ModelEvaluator{Model: core.MustModel(poolTestParams(8))}
 	want := make([]float64, len(cands))
 	for i, d := range cands {
-		want[i] = ref.Evaluate(d)
+		want[i] = evalOne(ref, d)
 	}
 
 	const goroutines = 6
@@ -58,7 +55,7 @@ func TestDeltaConcurrentSharedMemo(t *testing.T) {
 			stride := 3 + g
 			for lo := 0; lo < len(cands); lo += stride {
 				hi := min(lo+stride, len(cands))
-				memo.EvaluateBatchFromInto(out[lo:hi], base, cands[lo:hi])
+				memo.Evaluate(out[lo:hi], base, cands[lo:hi])
 			}
 			results[g] = out
 		}(g)

@@ -7,121 +7,71 @@ import (
 )
 
 // ModelEvaluator adapts a MHETA model to the Evaluator interface,
-// minimising total predicted execution time. It is the production
-// configuration: "A separate component of the runtime system uses MHETA
-// to evaluate all candidate distributions as part of a search algorithm"
-// (§1).
+// minimising total predicted execution time: "A separate component of
+// the runtime system uses MHETA to evaluate all candidate distributions
+// as part of a search algorithm" (§1). It is the full-evaluation
+// reference the delta evaluator is proven against. A Model reuses scratch
+// across Predict calls and is not safe for concurrent use, so a Pool
+// builds one per worker over its own clone.
 type ModelEvaluator struct {
 	Model *core.Model
 }
 
-// Evaluate implements Evaluator.
-func (m ModelEvaluator) Evaluate(d dist.Distribution) float64 {
-	return m.Model.PredictTotal(d)
-}
-
-// CloneEvaluator implements CloneableEvaluator: a Model reuses scratch
-// across Predict calls and is not safe for concurrent use, so a Pool
-// clones one per worker. Clones share the immutable parameters and
-// produce bit-identical predictions.
-func (m ModelEvaluator) CloneEvaluator() Evaluator {
-	return ModelEvaluator{Model: m.Model.Clone()}
+// Evaluate implements Evaluator; base is ignored.
+func (m ModelEvaluator) Evaluate(out []float64, _ dist.Distribution, ds []dist.Distribution) {
+	checkBatch(out, ds)
+	for i, d := range ds {
+		out[i] = m.Model.PredictTotal(d)
+	}
 }
 
 // DeltaModelEvaluator adapts a model's incremental evaluator
-// (core.DeltaEvaluator) to the search interfaces. Scores are bit-identical
-// to ModelEvaluator — the delta cache affects only speed — so swapping it
-// in changes no search outcome, only the candidates/second rate. It is a
-// BaseEvaluator/BaseBatchEvaluator: searchers name each batch's ancestor,
-// which primes the cache rows the batch's candidates share with it (this
-// is what makes pool worker clones, whose caches start cold, warm up in
-// one step instead of per candidate).
+// (core.DeltaEvaluator) to the Evaluator interface. Scores are
+// bit-identical to ModelEvaluator — the delta cache affects only speed —
+// so swapping it in changes no search outcome, only the
+// candidates/second rate. The batch's base primes the cache rows its
+// candidates share with it (this is what makes pool workers, whose caches
+// start cold, warm up in one step instead of per candidate).
 //
-// Like the Model it wraps, a DeltaModelEvaluator is single-goroutine;
-// CloneEvaluator gives each pool worker its own model clone and cold
-// cache, while the observability counters stay shared so the registry
-// sees whole-search totals.
+// Like the Model it wraps, a DeltaModelEvaluator is single-goroutine; a
+// Pool builds one per worker over its own model clone.
 type DeltaModelEvaluator struct {
 	de *core.DeltaEvaluator
 	// lastBase is a private copy of the base most recently warmed,
-	// deduplicating consecutive EvaluateFrom calls against the same
-	// ancestor with a plain element compare (cheaper than hashing for the
-	// short distributions searches use, and exact).
+	// deduplicating consecutive batches against the same ancestor with a
+	// plain element compare (cheaper than hashing for the short
+	// distributions searches use, and exact).
 	lastBase dist.Distribution
 	haveBase bool
-	// Delta-path observability (nil when unobserved; see Observe). Shared
-	// across clones: obs.Counter is atomic.
-	//lint:shared atomic counters aggregate across pool worker clones by design
-	obsHit *obs.Counter
-	//lint:shared atomic counters aggregate across pool worker clones by design
-	obsFull *obs.Counter
+	// Delta-path observability (nil when unobserved): search.delta.hit
+	// counts candidates served by the cache-replay path, search.delta.full
+	// fall-backs to full evaluation. Every evaluator built on one registry
+	// fetches the same atomic counters by name, so the registry sees
+	// whole-search totals across pool workers.
+	obsHit, obsFull *obs.Counter
 }
 
 // NewDeltaModelEvaluator builds a delta evaluator over model (using the
-// model's lazily-created core.DeltaEvaluator).
-func NewDeltaModelEvaluator(model *core.Model) *DeltaModelEvaluator {
-	return &DeltaModelEvaluator{de: model.Delta()}
-}
-
-// Observe registers the delta-path counters on r: search.delta.hit counts
-// candidates served by the cache-replay path, search.delta.full counts
-// fall-backs to full evaluation. Call before the pool clones workers so
-// the clones share them. A nil registry disables them.
-func (e *DeltaModelEvaluator) Observe(r *obs.Registry) {
-	if r == nil {
-		return
+// model's lazily-created core.DeltaEvaluator) whose delta-path counters
+// live on r. A nil registry disables them.
+func NewDeltaModelEvaluator(model *core.Model, r *obs.Registry) Evaluator {
+	return &DeltaModelEvaluator{
+		de:      model.Delta(),
+		obsHit:  r.Counter("search.delta.hit"),
+		obsFull: r.Counter("search.delta.full"),
 	}
-	e.obsHit = r.Counter("search.delta.hit")
-	e.obsFull = r.Counter("search.delta.full")
 }
 
-// Model returns the underlying model.
-func (e *DeltaModelEvaluator) Model() *core.Model { return e.de.Model() }
-
-// Stats returns the underlying cache counters.
-func (e *DeltaModelEvaluator) Stats() core.DeltaStats { return e.de.Stats() }
-
-// Evaluate implements Evaluator.
-func (e *DeltaModelEvaluator) Evaluate(d dist.Distribution) float64 {
-	v, usedDelta := e.de.Evaluate(d)
-	if usedDelta {
-		e.obsHit.Inc()
-	} else {
-		e.obsFull.Inc()
+// Evaluate implements Evaluator (serially — concurrency is the Pool's
+// job). The delta-path counters are flushed once per batch rather than
+// per candidate.
+func (e *DeltaModelEvaluator) Evaluate(out []float64, base dist.Distribution, ds []dist.Distribution) {
+	checkBatch(out, ds)
+	if base != nil && !(e.haveBase && base.Equal(e.lastBase)) {
+		e.lastBase = append(e.lastBase[:0], base...)
+		e.haveBase = true
+		e.de.Warm(base)
 	}
-	return v
-}
-
-// EvaluateFrom implements BaseEvaluator. The base primes the cache; the
-// returned score is exactly Evaluate(d).
-func (e *DeltaModelEvaluator) EvaluateFrom(base, d dist.Distribution) float64 {
-	e.warm(base)
-	return e.Evaluate(d)
-}
-
-// EvaluateBatchInto implements BatchEvaluator (serially — concurrency is
-// the Pool's job). The delta-path counters are flushed once per batch
-// rather than per candidate.
-func (e *DeltaModelEvaluator) EvaluateBatchInto(out []float64, ds []dist.Distribution) {
-	if len(out) != len(ds) {
-		panic("search: batch output length mismatch")
-	}
-	e.evalBatch(out, ds)
-}
-
-// EvaluateBatchFromInto implements BaseBatchEvaluator.
-func (e *DeltaModelEvaluator) EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution) {
-	if len(out) != len(ds) {
-		panic("search: batch output length mismatch")
-	}
-	e.warm(base)
-	e.evalBatch(out, ds)
-}
-
-// evalBatch scores ds serially, accumulating the hit/full counts locally
-// so the shared atomic counters are touched once per batch instead of
-// once per candidate.
-func (e *DeltaModelEvaluator) evalBatch(out []float64, ds []dist.Distribution) {
 	hit, full := 0, 0
 	for i, d := range ds {
 		v, usedDelta := e.de.Evaluate(d)
@@ -140,29 +90,23 @@ func (e *DeltaModelEvaluator) evalBatch(out []float64, ds []dist.Distribution) {
 	}
 }
 
-// warm primes the cache rows for base's widths, at most once per distinct
-// consecutive base.
-func (e *DeltaModelEvaluator) warm(base dist.Distribution) {
-	if base == nil {
-		return
+// ForModel builds the evaluator stack a search over model runs on:
+// newEv's evaluator over model itself when workers is 0 or 1, otherwise a
+// Pool of workers (negative selects GOMAXPROCS) whose first worker
+// evaluates model and every other worker a clone of it. newEv is
+// NewDeltaModelEvaluator for production searches; the counters it and
+// the pool register go on r (nil disables them). Values are bit-identical
+// for any worker count.
+func ForModel(model *core.Model, workers int, r *obs.Registry, newEv func(*core.Model, *obs.Registry) Evaluator) Evaluator {
+	if workers == 0 || workers == 1 {
+		return newEv(model, r)
 	}
-	if e.haveBase && base.Equal(e.lastBase) {
-		return
-	}
-	e.lastBase = append(e.lastBase[:0], base...)
-	e.haveBase = true
-	e.de.Warm(base)
-}
-
-// CloneEvaluator implements CloneableEvaluator: each clone wraps its own
-// model clone (cold cache, bit-identical scores) and shares the atomic
-// observability counters.
-func (e *DeltaModelEvaluator) CloneEvaluator() Evaluator {
-	return &DeltaModelEvaluator{
-		de:       e.de.Model().Clone().Delta(),
-		lastBase: nil,
-		haveBase: false,
-		obsHit:   e.obsHit,
-		obsFull:  e.obsFull,
-	}
+	p := NewPool(workers, func(w int) Evaluator {
+		if w == 0 {
+			return newEv(model, r)
+		}
+		return newEv(model.Clone(), r)
+	})
+	p.Observe(r)
+	return p
 }

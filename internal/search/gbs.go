@@ -110,7 +110,7 @@ func (g *GBS) Search(ev Evaluator, total int) Result {
 		anchorDists[i] = anchors[i].Dist
 	}
 	anchorT := batchT[:len(anchors)]
-	memo.EvaluateBatchFromInto(anchorT, nil, anchorDists)
+	memo.Evaluate(anchorT, nil, anchorDists)
 	best, bestT := anchors[0].Dist.Clone(), anchorT[0]
 	for i := 1; i < len(anchors); i++ {
 		if anchorT[i] < bestT {
@@ -180,7 +180,7 @@ func (g *GBS) Search(ev Evaluator, total int) Result {
 			}
 		}
 		if len(batchD) > 0 {
-			memo.EvaluateBatchFromInto(batchT[:len(batchD)], best, batchD)
+			memo.Evaluate(batchT[:len(batchD)], best, batchD)
 			for j := range batchD {
 				legs[batchLeg[j]].kScore[batchK[j]] = batchT[j]
 			}
@@ -218,7 +218,7 @@ func (g *GBS) Search(ev Evaluator, total int) Result {
 		}
 	}
 	if len(batchD) > 0 {
-		memo.EvaluateBatchFromInto(batchT[:len(batchD)], best, batchD)
+		memo.Evaluate(batchT[:len(batchD)], best, batchD)
 		for j := range batchD {
 			legs[batchLeg[j]].kScore[batchK[j]] = batchT[j]
 		}

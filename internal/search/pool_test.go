@@ -50,7 +50,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		for _, s := range searchers {
 			serial := s.Search(ev, total)
 			for _, workers := range []int{1, 8} {
-				got := s.Search(NewPool(ev, workers), total)
+				got := s.Search(sharedPool(ev, workers), total)
 				if !got.Best.Equal(serial.Best) || got.Time != serial.Time || got.Evaluations != serial.Evaluations {
 					t.Errorf("%s on %s: Pool(%d) = (%v, %v, %d evals), serial = (%v, %v, %d evals)",
 						s.Name(), spec.Name, workers,
@@ -108,12 +108,14 @@ func poolTestParams(n int) core.Params {
 }
 
 // TestPoolClonesModelEvaluator checks the production configuration: a
-// pool over ModelEvaluator clones one Model per worker and matches the
-// serial search bit for bit.
+// ForModel pool over ModelEvaluator clones one Model per worker and
+// matches the serial search bit for bit.
 func TestPoolClonesModelEvaluator(t *testing.T) {
 	model := core.MustModel(poolTestParams(8))
 	ev := ModelEvaluator{Model: model}
-	pool := NewPool(ev, 4)
+	pool := ForModel(model, 4, nil, func(m *core.Model, _ *obs.Registry) Evaluator {
+		return ModelEvaluator{Model: m}
+	}).(*Pool)
 	if pool.Workers() != 4 {
 		t.Fatalf("workers %d, want 4", pool.Workers())
 	}
@@ -134,12 +136,13 @@ func TestPoolClonesModelEvaluator(t *testing.T) {
 
 func TestPoolEvaluateBatchOrder(t *testing.T) {
 	ev := EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d[0]) })
-	pool := NewPool(ev, 3)
+	pool := sharedPool(ev, 3)
 	ds := make([]dist.Distribution, 10)
 	for i := range ds {
 		ds[i] = dist.Distribution{i}
 	}
-	out := pool.EvaluateBatch(ds)
+	out := make([]float64, len(ds))
+	pool.Evaluate(out, nil, ds)
 	for i, v := range out {
 		if v != float64(i) {
 			t.Fatalf("out[%d] = %v", i, v)
@@ -156,21 +159,22 @@ func TestMemoDedup(t *testing.T) {
 	d1 := dist.Distribution{3, 5}
 	d2 := dist.Distribution{4, 4}
 	batch := []dist.Distribution{d1, d2, d1.Clone()} // in-batch duplicate
-	out := m.EvaluateBatch(batch)
+	out := make([]float64, len(batch))
+	m.Evaluate(out, nil, batch)
 	if out[0] != 8 || out[1] != 8 || out[2] != 8 {
 		t.Fatalf("out %v", out)
 	}
 	if calls.Load() != 2 || m.Evaluations() != 2 {
 		t.Fatalf("calls %d, evaluations %d, want 2", calls.Load(), m.Evaluations())
 	}
-	m.EvaluateBatch(batch) // fully memoised
-	if got := m.Evaluate(d2); got != 8 {
+	m.Evaluate(out, nil, batch) // fully memoised
+	if got := evalOne(m, d2); got != 8 {
 		t.Fatalf("single hit %v", got)
 	}
 	if calls.Load() != 2 || m.Evaluations() != 2 || m.Len() != 2 {
 		t.Fatalf("after hits: calls %d, evaluations %d, len %d", calls.Load(), m.Evaluations(), m.Len())
 	}
-	if got := m.Evaluate(dist.Distribution{8, 0}); got != 8 || m.Evaluations() != 3 {
+	if got := evalOne(m, dist.Distribution{8, 0}); got != 8 || m.Evaluations() != 3 {
 		t.Fatalf("single miss %v, evaluations %d", got, m.Evaluations())
 	}
 }
@@ -181,19 +185,18 @@ func TestMemoisedBatchZeroAlloc(t *testing.T) {
 	m := NewMemo(EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d.Total()) }))
 	ds := []dist.Distribution{{1, 2, 3}, {2, 2, 2}, {0, 3, 3}, {6, 0, 0}}
 	out := make([]float64, len(ds))
-	m.EvaluateBatchInto(out, ds) // warm
+	m.Evaluate(out, nil, ds) // warm
 	allocs := testing.AllocsPerRun(200, func() {
-		m.EvaluateBatchInto(out, ds)
+		m.Evaluate(out, nil, ds)
 	})
 	if allocs != 0 {
 		t.Fatalf("memoised batch allocates %v/op, want 0", allocs)
 	}
-	one := ds[0]
 	allocs = testing.AllocsPerRun(200, func() {
-		m.Evaluate(one)
+		m.Evaluate(out[:1], nil, ds[:1])
 	})
 	if allocs != 0 {
-		t.Fatalf("memoised single evaluate allocates %v/op, want 0", allocs)
+		t.Fatalf("memoised one-element batch allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -217,7 +220,7 @@ func TestAnnealingFanOneMatchesClassicChain(t *testing.T) {
 // memory.
 func TestPoolIntrospectionConcurrentWithBatches(t *testing.T) {
 	ev := EvaluatorFunc(func(d dist.Distribution) float64 { return float64(d[0]) })
-	pool := NewPool(ev, 4)
+	pool := sharedPool(ev, 4)
 	ds := make([]dist.Distribution, 64)
 	for i := range ds {
 		ds[i] = dist.Distribution{i}
@@ -227,8 +230,9 @@ func TestPoolIntrospectionConcurrentWithBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			out := make([]float64, len(ds))
 			for i := 0; i < 20; i++ {
-				pool.EvaluateBatch(ds)
+				pool.Evaluate(out, nil, ds)
 			}
 		}()
 	}

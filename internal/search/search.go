@@ -12,6 +12,13 @@
 // distributions lie along the Blk↔I-C↔I-C/Bal↔Bal spectrum, and predicted
 // time is close to unimodal along each leg — hence binary search over the
 // legs; the stochastic algorithms roam the full space.
+//
+// Every searcher scores its candidates through one contract, Evaluator,
+// whose single method scores a batch with an optional ancestor hint. The
+// wrappers compose over it: Pool spreads a batch across workers, Memo
+// deduplicates it against a shared table, SearchContext makes a search
+// cancellable, and ForModel builds the production stack — a delta
+// evaluator per worker, pooled when workers > 1, observed on a registry.
 package search
 
 import (
@@ -21,41 +28,42 @@ import (
 	"mheta/internal/vclock"
 )
 
-// Evaluator scores a candidate distribution; lower is better. core.Model
-// satisfies this via ModelEvaluator.
+// Evaluator scores candidate distributions; lower is better. It is the
+// one evaluation contract every searcher, wrapper and model adapter
+// speaks: searchers emit their independent candidates in batches (a
+// single candidate is a one-element batch), and wrappers — Pool, Memo,
+// the context check — forward batches without ever asking what the inner
+// evaluator can do.
 type Evaluator interface {
-	Evaluate(d dist.Distribution) float64
+	// Evaluate scores ds[i] into out[i]; len(out) must equal len(ds).
+	// base, when non-nil, names the ancestor every ds[i] was derived from
+	// (a mutation's parent, a GBS leg's incumbent). It is a warm-up hint
+	// only: out[i] must be exactly what a nil base would produce, bit for
+	// bit; a base-aware evaluator merely reaches that value faster by
+	// reusing work shared with the base (see core.DeltaEvaluator).
+	// Implementations must not retain base or ds past the call.
+	Evaluate(out []float64, base dist.Distribution, ds []dist.Distribution)
 }
 
-// BaseEvaluator is an Evaluator that can exploit a candidate's ancestry:
-// EvaluateFrom names the base distribution the candidate was derived from
-// (a mutation's parent, a GBS leg's best anchor). The base is a warm-up
-// hint only — implementations must return exactly what Evaluate(d) would,
-// bit for bit; a base-aware evaluator merely reaches that value faster by
-// reusing work shared with the base (see core.DeltaEvaluator).
-type BaseEvaluator interface {
-	Evaluator
-	// EvaluateFrom scores d, which differs from base in few ranks. A nil
-	// base means "no ancestry" and behaves like Evaluate.
-	EvaluateFrom(base, d dist.Distribution) float64
-}
-
-// BaseBatchEvaluator is a BatchEvaluator whose batches carry their common
-// ancestor. Same contract as BaseEvaluator: out[i] must equal what a
-// plain EvaluateBatchInto would produce.
-type BaseBatchEvaluator interface {
-	BatchEvaluator
-	// EvaluateBatchFromInto scores ds[i] into out[i]; every ds[i] derives
-	// from base (nil = no ancestry). Implementations must not retain base
-	// or ds past the call.
-	EvaluateBatchFromInto(out []float64, base dist.Distribution, ds []dist.Distribution)
-}
-
-// EvaluatorFunc adapts a function to the Evaluator interface.
+// EvaluatorFunc adapts a pure per-candidate scoring function to the
+// Evaluator interface. Being pure, it is safe to share across pool
+// workers.
 type EvaluatorFunc func(d dist.Distribution) float64
 
-// Evaluate implements Evaluator.
-func (f EvaluatorFunc) Evaluate(d dist.Distribution) float64 { return f(d) }
+// Evaluate implements Evaluator; base is ignored.
+func (f EvaluatorFunc) Evaluate(out []float64, _ dist.Distribution, ds []dist.Distribution) {
+	checkBatch(out, ds)
+	for i, d := range ds {
+		out[i] = f(d)
+	}
+}
+
+// checkBatch enforces the Evaluate length contract.
+func checkBatch(out []float64, ds []dist.Distribution) {
+	if len(out) != len(ds) {
+		panic("search: batch output length mismatch")
+	}
+}
 
 // Result is a search outcome.
 type Result struct {
@@ -74,9 +82,9 @@ func (r Result) String() string {
 // its candidates in batches, so passing a *Pool as the Evaluator spreads
 // the model evaluations across workers; results (Best, Time, Evaluations)
 // are bit-identical for any worker count, including a plain serial
-// Evaluator. Evaluation counts are tracked atomically — they measure how
-// many model evaluations the search spent, since evaluation cost (≈5.4 ms
-// in the paper) bounds how elaborate a runtime search can be.
+// Evaluator. Evaluations counts the model evaluations the search spent,
+// since evaluation cost (≈5.4 ms in the paper) bounds how elaborate a
+// runtime search can be.
 type Searcher interface {
 	// Search returns the best distribution found for total elements.
 	Search(ev Evaluator, total int) Result

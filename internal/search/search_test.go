@@ -25,6 +25,19 @@ func loadImbalanceEvaluator(speeds []float64) Evaluator {
 	})
 }
 
+// evalOne scores a single candidate as a one-element batch.
+func evalOne(ev Evaluator, d dist.Distribution) float64 {
+	out := make([]float64, 1)
+	ev.Evaluate(out, nil, []dist.Distribution{d})
+	return out[0]
+}
+
+// sharedPool builds an n-worker pool whose workers all share ev (a pure
+// evaluator).
+func sharedPool(ev Evaluator, n int) *Pool {
+	return NewPool(n, func(int) Evaluator { return ev })
+}
+
 func hy1Speeds() []float64 {
 	spec := cluster.HY1(8)
 	out := make([]float64, spec.N())
@@ -49,7 +62,7 @@ func TestGBSBeatsBlock(t *testing.T) {
 	ev := loadImbalanceEvaluator(hy1Speeds())
 	g := &GBS{Spec: spec, BytesPerElem: 4096}
 	res := g.Search(ev, searchTotal)
-	blk := ev.Evaluate(dist.Block(searchTotal, 8))
+	blk := evalOne(ev, dist.Block(searchTotal, 8))
 	if res.Time >= blk {
 		t.Fatalf("GBS %v not better than Blk %v", res.Time, blk)
 	}
@@ -100,7 +113,7 @@ func TestAnnealingImprovesOnBlk(t *testing.T) {
 	if err := res.Best.Validate(searchTotal); err != nil {
 		t.Fatal(err)
 	}
-	blk := ev.Evaluate(dist.Block(searchTotal, 8))
+	blk := evalOne(ev, dist.Block(searchTotal, 8))
 	if res.Time >= blk {
 		t.Fatalf("annealing %v not better than Blk %v", res.Time, blk)
 	}
@@ -110,7 +123,7 @@ func TestRandomNeverWorseThanBlk(t *testing.T) {
 	ev := loadImbalanceEvaluator(hy1Speeds())
 	r := &Random{N: 8, Seed: 7}
 	res := r.Search(ev, searchTotal)
-	blk := ev.Evaluate(dist.Block(searchTotal, 8))
+	blk := evalOne(ev, dist.Block(searchTotal, 8))
 	if res.Time > blk {
 		t.Fatalf("random %v worse than its own Blk baseline %v", res.Time, blk)
 	}
@@ -137,11 +150,11 @@ func TestSearchersDeterministic(t *testing.T) {
 }
 
 func TestCountingEvaluator(t *testing.T) {
-	c := newCounter(EvaluatorFunc(func(d dist.Distribution) float64 { return 1 }))
-	c.eval(dist.Distribution{1})
-	c.eval(dist.Distribution{1})
+	c := &counter{ev: EvaluatorFunc(func(d dist.Distribution) float64 { return 1 })}
+	evalOne(c, dist.Distribution{1})
+	evalOne(c, dist.Distribution{1})
 	out := make([]float64, 3)
-	c.evalBatch(out, []dist.Distribution{{1}, {2}, {3}})
+	c.Evaluate(out, nil, []dist.Distribution{{1}, {2}, {3}})
 	if c.count() != 5 {
 		t.Fatalf("count %d, want 5", c.count())
 	}

@@ -108,17 +108,8 @@ func (e *engine) build(s *Server) {
 	// Same evaluator stack as a CLI search — delta evaluator under an
 	// optional worker pool under the memo — except the memo here is
 	// long-lived and shared across requests, so the epoch-eviction limit
-	// bounds its footprint. Observe before NewPool so the pool's worker
-	// clones share the delta-path counters.
-	dme := search.NewDeltaModelEvaluator(model.Clone())
-	dme.Observe(s.reg)
-	var ev search.Evaluator = dme
-	if s.cfg.Workers > 1 {
-		pool := search.NewPool(ev, s.cfg.Workers)
-		pool.Observe(s.reg)
-		ev = pool
-	}
-	memo := search.NewMemo(ev)
+	// bounds its footprint.
+	memo := search.NewMemo(search.ForModel(model.Clone(), s.cfg.Workers, s.reg, search.NewDeltaModelEvaluator))
 	memo.Observe(s.reg)
 	memo.SetLimit(s.cfg.MemoLimit)
 	e.memo = memo
@@ -161,7 +152,7 @@ func (e *engine) batchLoop(s *Server) {
 
 // serveBatch answers one coalesced batch: requests whose context already
 // expired are refused without spending model time, the rest are scored
-// in a single Memo.EvaluateBatchInto (in-batch duplicates and
+// in a single Memo.Evaluate (in-batch duplicates and
 // previously-seen distributions hit the table), and detailed requests
 // additionally run PredictDetailed on the batcher's own model clone.
 func (e *engine) serveBatch(s *Server, batch []*predictReq) {
@@ -205,7 +196,7 @@ func (e *engine) serveBatch(s *Server, batch []*predictReq) {
 			}
 		}
 	}()
-	e.memo.EvaluateBatchInto(out, e.ds)
+	e.memo.Evaluate(out, nil, e.ds)
 	for i, q := range live {
 		rep := predictReply{total: out[i]}
 		if q.detailed {

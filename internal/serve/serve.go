@@ -16,7 +16,7 @@
 //
 //   - /predict requests pass through a bounded per-engine admission queue
 //     (full queue = shed with 429) into a single batcher goroutine that
-//     coalesces concurrent requests into one Memo.EvaluateBatchInto
+//     coalesces concurrent requests into one Memo.Evaluate batch
 //     against a shared cross-request memo (epoch eviction bounds it).
 //   - /search requests take a slot from a bounded semaphore (running +
 //     backlog over the cap = shed with 429) and run the searcher under a
@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -373,6 +374,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(d) == 0 {
 		d = dist.Block(app.Prog.GlobalElems(), spec.N())
 	}
+	if len(d) != spec.N() {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("dist has %d entries; cluster %s has %d nodes", len(d), spec.Name, spec.N()))
+		return
+	}
 	if err := d.Validate(app.Prog.GlobalElems()); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -421,8 +426,9 @@ type SearchRequest struct {
 	// Alg is the algorithm: gbs (default), genetic, annealing, random.
 	Alg string `json:"alg,omitempty"`
 	// Workers is the evaluation-pool size for this search; 1 (and 0)
-	// evaluate inline, negative selects all cores. Results are
-	// bit-identical for any value.
+	// evaluate inline, negative selects all cores, and values above
+	// GOMAXPROCS are capped to it. Results are bit-identical for any
+	// value.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS overrides the server's default request deadline; a
 	// search still running at the deadline is aborted (504).
@@ -463,7 +469,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown alg %q (gbs, genetic, annealing, random)", alg))
 		return
 	}
-	workers := req.Workers
+	// Results are bit-identical for any worker count, so the pool — one
+	// model clone per worker — is capped at the cores that can run it
+	// rather than sized by the client.
+	workers := min(req.Workers, runtime.GOMAXPROCS(0))
 	if workers == 0 {
 		workers = 1
 	}

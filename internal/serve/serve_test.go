@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,6 +185,35 @@ func TestPredictRejects(t *testing.T) {
 	}
 }
 
+// TestPredictRejectsWrongDistLength pins the node-count check: a dist
+// whose length is not the cluster's node count (here one entry holding
+// the whole total, so the sum check alone passes) is refused with 400
+// before it reaches the batcher, where it used to panic the model and
+// fail every request coalesced with it. A well-formed request for the
+// same scenario still gets its bit-identical total.
+func TestPredictRejectsWrongDistLength(t *testing.T) {
+	model, app, spec := refModel(t)
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	total := app.Prog.GlobalElems()
+	for _, bad := range [][]int{{total}, append(mheta.BlockDistribution(app, spec), 0)} {
+		code, data := postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire(), Dist: bad})
+		if code != http.StatusBadRequest {
+			t.Errorf("dist of %d entries: status %d (%s), want 400", len(bad), code, data)
+		}
+	}
+	blk := mheta.BlockDistribution(app, spec)
+	code, data := postJSON(t, ts.URL+"/predict", PredictRequest{scenarioWire: testWire(), Dist: blk})
+	if code != http.StatusOK {
+		t.Fatalf("good request: status %d: %s", code, data)
+	}
+	if got, want := decode[PredictResponse](t, data).TotalS, model.PredictTotal(blk); got != want {
+		t.Errorf("good request: total %v, want %v (bit-identical)", got, want)
+	}
+}
+
 // TestPredictShedsWhenQueueFull drives the admission queue to capacity
 // deterministically — the batcher is parked on a test hook, so the queue
 // (depth 1) fills behind it — and demands the next request shed with 429
@@ -298,6 +328,35 @@ func TestSearchMatchesDirect(t *testing.T) {
 	code, data := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), Alg: "simplex"})
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown alg: status %d (%s), want 400", code, data)
+	}
+}
+
+// TestSearchCapsWorkers pins the /search worker cap: a client asking for
+// an absurd pool gets the same body as an inline search, without the
+// server building one model clone per requested worker (uncapped, 20000
+// workers allocated tens of MB at test scale).
+func TestSearchCapsWorkers(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, want := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), Workers: 1})
+	if code != http.StatusOK {
+		t.Fatalf("workers=1: status %d: %s", code, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, got := postJSON(t, ts.URL+"/search", SearchRequest{scenarioWire: testWire(), Workers: 20000})
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("workers=20000: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("workers=20000 body %s, want %s", got, want)
+	}
+	const bound = 4 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Errorf("workers=20000 search allocated %d bytes, want <= %d", alloc, bound)
 	}
 }
 

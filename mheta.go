@@ -133,12 +133,11 @@ func RunActual(spec ClusterSpec, app *App, d Distribution, seed uint64) (float64
 // search over the Figure 8 spectrum, using the model as the evaluation
 // function.
 func SearchGBS(spec ClusterSpec, app *App, model *Model) SearchResult {
-	var bpe int64
-	for _, v := range app.Prog.DistributedVars() {
-		bpe += v.ElemBytes
+	res, err := SearchWithOptions(AlgGBS, spec, app, model, 0, SearchOptions{})
+	if err != nil {
+		panic(err) // unreachable: GBS is a known algorithm and there is no context
 	}
-	g := &search.GBS{Spec: spec, BytesPerElem: bpe}
-	return g.Search(search.NewDeltaModelEvaluator(model), app.Prog.GlobalElems())
+	return res
 }
 
 // Searcher names for SearchWith.
@@ -152,18 +151,7 @@ const (
 // SearchWith runs the named algorithm ("gbs", "genetic", "annealing",
 // "random") with default parameters on a single worker.
 func SearchWith(alg string, spec ClusterSpec, app *App, model *Model, seed uint64) (SearchResult, error) {
-	return SearchWithWorkers(alg, spec, app, model, seed, 1)
-}
-
-// SearchWithWorkers is SearchWith evaluating candidates on a pool of
-// workers, each owning its own clone of the model (workers <= 0 selects
-// GOMAXPROCS). Results — Best, Time and Evaluations — are bit-identical
-// for any worker count; parallelism only changes wall-clock time.
-func SearchWithWorkers(alg string, spec ClusterSpec, app *App, model *Model, seed uint64, workers int) (SearchResult, error) {
-	if workers == 0 {
-		workers = -1 // SearchOptions spells "all cores" as negative; 0 is inline
-	}
-	return SearchWithOptions(alg, spec, app, model, seed, SearchOptions{Workers: workers})
+	return SearchWithOptions(alg, spec, app, model, seed, SearchOptions{Workers: 1})
 }
 
 // Metrics is an observability registry (see internal/obs): counters,
@@ -200,16 +188,8 @@ type SearchOptions struct {
 func SearchWithOptions(alg string, spec ClusterSpec, app *App, model *Model, seed uint64, opts SearchOptions) (SearchResult, error) {
 	// The delta evaluator replays cached per-width busy terms, scoring
 	// bit-identically to ModelEvaluator but several times faster on the
-	// near-neighbour candidates searches emit. Observe before NewPool so
-	// worker clones share the delta-path counters.
-	dme := search.NewDeltaModelEvaluator(model)
-	dme.Observe(opts.Metrics)
-	var ev search.Evaluator = dme
-	if opts.Workers != 1 && opts.Workers != 0 {
-		pool := search.NewPool(ev, opts.Workers)
-		pool.Observe(opts.Metrics)
-		ev = pool
-	}
+	// near-neighbour candidates searches emit.
+	ev := search.ForModel(model, opts.Workers, opts.Metrics, search.NewDeltaModelEvaluator)
 	total := app.Prog.GlobalElems()
 	var s search.Searcher
 	switch alg {

@@ -100,6 +100,48 @@ func TestSearchWithAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestSearchCountingInvariant pins "every counted evaluation reaches the
+// model exactly once": for each algorithm, inline and pooled, the delta
+// evaluator's hit+full count, the pool's evaluation count and (for GBS,
+// which counts through its memo) the memo misses all equal the result's
+// Evaluations.
+func TestSearchCountingInvariant(t *testing.T) {
+	spec := mheta.MustNamedCluster("HY1")
+	cfg := mheta.JacobiDefaults()
+	cfg.Rows, cfg.Cols, cfg.Iterations = 768, 96, 3
+	app := mheta.Jacobi(cfg)
+	model, err := mheta.Instrument(spec, app, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{mheta.AlgGBS, mheta.AlgGenetic, mheta.AlgAnnealing, mheta.AlgRandom} {
+		for _, workers := range []int{1, 2} {
+			reg := mheta.NewMetrics()
+			res, err := mheta.SearchWithOptions(alg, spec, app, model, 42, mheta.SearchOptions{Workers: workers, Metrics: reg})
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", alg, workers, err)
+			}
+			evals := int64(res.Evaluations)
+			if evals <= 0 {
+				t.Fatalf("%s/workers=%d: %d evaluations", alg, workers, evals)
+			}
+			if got := reg.Counter("search.delta.hit").Value() + reg.Counter("search.delta.full").Value(); got != evals {
+				t.Errorf("%s/workers=%d: delta hit+full = %d, want Evaluations %d", alg, workers, got, evals)
+			}
+			pooled := reg.Counter("search.pool.evaluations").Value()
+			if workers > 1 && pooled != evals {
+				t.Errorf("%s/workers=%d: pool evaluations = %d, want %d", alg, workers, pooled, evals)
+			}
+			if workers == 1 && pooled != 0 {
+				t.Errorf("%s/workers=1: pool evaluations = %d, want 0 (inline)", alg, pooled)
+			}
+			if misses := reg.Counter("search.memo.misses").Value(); alg == mheta.AlgGBS && misses != evals {
+				t.Errorf("%s/workers=%d: memo misses = %d, want %d", alg, workers, misses, evals)
+			}
+		}
+	}
+}
+
 func TestInstrumentParamsRoundTrip(t *testing.T) {
 	spec := mheta.MustNamedCluster("IO")
 	cfg := mheta.JacobiDefaults()
