@@ -57,10 +57,11 @@ func main() {
 	}
 
 	// Verify the wavefront numerics: the parallel DP equals a sequential
-	// sweep exactly, independent of the distribution.
+	// sweep exactly, independent of the distribution. Only a numerics run
+	// computes and keeps the table's values.
 	w := mpi.NewWorld(spec, 7, mheta.DefaultNoise)
 	d := dist.Block(cfg.Rows, spec.N())
-	if _, err := exec.Run(w, app, d, exec.Options{}); err != nil {
+	if _, err := exec.Run(w, app, d, exec.Options{Numerics: true}); err != nil {
 		log.Fatalf("verify run: %v", err)
 	}
 	// Rebuild the final table from the per-node disks (tile-major layout).

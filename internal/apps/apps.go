@@ -5,12 +5,15 @@
 // future work.
 //
 // Each application supplies (a) a program.Program describing its
-// structure in MHETA's vocabulary, and (b) an exec.State with real numeric
-// kernels: the emulated runs compute genuine values (relaxations,
-// sparse/dense matrix-vector products, dynamic-programming tables), which
-// the test suite checks against sequential references. Virtual time and
-// numerics are decoupled: kernels run on the host CPU; their cost is
-// charged to the rank's virtual clock as work units.
+// structure in MHETA's vocabulary, and (b) an exec.State with two sides.
+// Work is the timing plane: the work units a stage charges, computed from
+// row counts, chunk sizes and (for CG) the seeded sparsity pattern, never
+// from data values. Process and the message hooks are the data plane:
+// real numeric kernels (relaxations, sparse/dense matrix-vector products,
+// dynamic-programming tables) that compute genuine values, which the test
+// suite checks against sequential references. The executor runs the data
+// plane only under exec.Options.Numerics; kernels run on the host CPU and
+// never touch the virtual clock.
 package apps
 
 import (
@@ -71,10 +74,10 @@ func cacheFactor(chunkBytes int) float64 {
 	return f
 }
 
-// chunkWork scales nominal work units by the cache factor for the chunk
-// the kernel just touched.
-func chunkWork(units float64, buf []byte) float64 {
-	return units * cacheFactor(len(buf))
+// chunkWork scales nominal work units by the cache factor for a chunk of
+// chunkBytes bytes.
+func chunkWork(units float64, chunkBytes int) float64 {
+	return units * cacheFactor(chunkBytes)
 }
 
 // hash64 is a tiny deterministic value generator for synthetic datasets:

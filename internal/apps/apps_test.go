@@ -25,12 +25,12 @@ func f64At(b []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 }
 
-// runApp executes app on a fresh noise-free world and returns it for
-// post-run inspection.
+// runApp executes app with numerics on a fresh noise-free world and
+// returns it for post-run inspection.
 func runApp(t *testing.T, app *exec.App, spec cluster.Spec, d dist.Distribution) *mpi.World {
 	t.Helper()
 	w := mpi.NewWorld(spec, 1, 0)
-	if _, err := exec.Run(w, app, d, exec.Options{}); err != nil {
+	if _, err := exec.Run(w, app, d, exec.Options{Numerics: true}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return w
@@ -251,6 +251,18 @@ func TestCGNNZVariesAcrossRows(t *testing.T) {
 	}
 }
 
+func TestCGNNZMatchesStoredRows(t *testing.T) {
+	// The spmv's work units come from the nonzero table, not from
+	// scanning the padded on-disk rows; the two must agree row by row.
+	cfg := apps.DefaultCGConfig()
+	cfg.N = 512
+	for i := 0; i < cfg.N; i++ {
+		if got, want := apps.CGNNZForTest(cfg, i), len(apps.CGRowEntriesForTest(cfg, i)); got != want {
+			t.Fatalf("row %d: table counts %d nonzeros, the stored row holds %d", i, got, want)
+		}
+	}
+}
+
 func TestCGMatrixSymmetric(t *testing.T) {
 	cfg := apps.DefaultCGConfig()
 	cfg.N = 256
@@ -326,8 +338,11 @@ type lanczosProbe struct {
 }
 
 func (p *lanczosProbe) Init(nc *exec.NodeCtx) { p.inner.Init(nc) }
-func (p *lanczosProbe) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
-	return p.inner.Process(nc, sec, stg, tile, gRow, nRows, buf)
+func (p *lanczosProbe) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
+	return p.inner.Work(nc, sec, stg, tile, gRow, nRows, chunkBytes)
+}
+func (p *lanczosProbe) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {
+	p.inner.Process(nc, sec, stg, tile, gRow, nRows, buf)
 }
 func (p *lanczosProbe) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {
 	return p.inner.BoundaryMsg(nc, sec, tile, dir)

@@ -1,6 +1,10 @@
 package apps
 
 import (
+	"fmt"
+	"math"
+	"sync"
+
 	"mheta/internal/exec"
 	"mheta/internal/program"
 )
@@ -132,6 +136,20 @@ func cgNNZ(cfg CGConfig, i int) int {
 	return n
 }
 
+// cgNNZTable returns every row's true nonzero count. A count is at most
+// cgSlots, so uint16 suffices for any practical band and keeps the table,
+// which lives as long as the application, at two bytes a row.
+func cgNNZTable(cfg CGConfig) []uint16 {
+	if cfg.cgSlots() > math.MaxUint16 {
+		panic(fmt.Sprintf("cg: %d slots per row overflow the nonzero table", cfg.cgSlots()))
+	}
+	nnz := make([]uint16, cfg.N)
+	for i := range nnz {
+		nnz[i] = uint16(cgNNZ(cfg, i))
+	}
+	return nnz
+}
+
 // cgB returns the right-hand side b.
 func cgB(cfg CGConfig, i int) float64 { return 1 + hash64(cfg.Seed, i) }
 
@@ -183,19 +201,23 @@ func CGProgram(cfg CGConfig) *program.Program {
 	}
 }
 
-// NewCG builds the runnable application.
+// NewCG builds the runnable application. The nonzero table behind the
+// spmv's work units is built once per application, on first use, and
+// shared read-only by every rank and run.
 func NewCG(cfg CGConfig) *exec.App {
 	prog := CGProgram(cfg)
+	nnz := sync.OnceValue(func() []uint16 { return cgNNZTable(cfg) })
 	return &exec.App{
 		Prog: prog,
 		NewState: func(nc *exec.NodeCtx) exec.State {
-			return &cgState{cfg: cfg}
+			return &cgState{cfg: cfg, nnz: nnz()}
 		},
 	}
 }
 
 type cgState struct {
 	cfg CGConfig
+	nnz []uint16 // per-row nonzero counts, see cgNNZTable
 	// Replicated direction vector (gathered each iteration).
 	p []float64
 	// Local blocks.
@@ -234,12 +256,28 @@ func (s *cgState) Init(nc *exec.NodeCtx) {
 	}
 }
 
-func (s *cgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
+func (s *cgState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
+	switch sec {
+	case 0: // one unit per true nonzero of the chunk's rows
+		nnz := 0
+		for _, n := range s.nnz[gRow : gRow+nRows] {
+			nnz += int(n)
+		}
+		return chunkWork(float64(nnz), chunkBytes)
+	case 1:
+		return 4 * float64(nRows)
+	case 2:
+		return 2 * float64(nRows)
+	default:
+		panic("cg: unexpected section")
+	}
+}
+
+func (s *cgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {
 	cfg := s.cfg
 	switch sec {
 	case 0: // q_local = A·p over a chunk of rows; accumulate p·q
 		slots := cfg.cgSlots()
-		work := 0.0
 		if gRow == nc.Start {
 			s.pq = 0
 		}
@@ -247,7 +285,6 @@ func (s *cgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 			gi := gRow + i
 			li := gi - nc.Start
 			sum := 0.0
-			nnz := 0
 			base := i * slots * 2
 			for k := 0; k < slots; k++ {
 				col := f64(buf, base+2*k)
@@ -255,13 +292,10 @@ func (s *cgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 					continue
 				}
 				sum += f64(buf, base+2*k+1) * s.p[int(col)]
-				nnz++
 			}
 			s.q[li] = sum
 			s.pq += s.p[gi] * sum
-			work += float64(nnz)
 		}
-		return chunkWork(work, buf)
 	case 1: // x += αp, r −= αq over local rows; accumulate r·r
 		// alpha was fixed by section 0's reduction.
 		local := 0.0
@@ -272,13 +306,11 @@ func (s *cgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 			local += s.r[li] * s.r[li]
 		}
 		s.pq = local // reuse as the value carried into the reduction
-		return 4 * float64(nc.Count)
 	case 2: // p = r + βp over local rows (gathered by the reduction)
 		for li := 0; li < nc.Count; li++ {
 			gi := nc.Start + li
 			s.p[gi] = s.r[li] + s.beta*s.p[gi]
 		}
-		return 2 * float64(nc.Count)
 	default:
 		panic("cg: unexpected section")
 	}

@@ -103,8 +103,8 @@ type jacobiState struct {
 	// bidirectional boundary traffic).
 	haloDown []float64
 	// carry is the last updated row, fed to the next chunk and sent
-	// downstream after the sweep.
-	carry []float64
+	// downstream after the sweep; spare is the sweep's second row buffer.
+	carry, spare []float64
 	// firstRow is the block's first row after the sweep (sent upstream).
 	firstRow []float64
 	// residual accumulates Σ|Δ| over the local sweep.
@@ -147,40 +147,14 @@ func (s *jacobiState) Init(nc *exec.NodeCtx) {
 		s.haloDown = make([]float64, cfg.Cols)
 	}
 	s.carry = make([]float64, cfg.Cols)
+	s.spare = make([]float64, cfg.Cols)
 	s.firstRow = make([]float64, cfg.Cols)
 }
 
-func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
-	cfg := s.cfg
+func (s *jacobiState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
 	switch sec {
 	case 0: // relax sweep over a chunk of B
-		prev := s.haloUp
-		if gRow > nc.Start {
-			prev = s.carry
-		} else {
-			s.residual = 0
-		}
-		cols := cfg.Cols
-		for i := 0; i < nRows; i++ {
-			base := i * cols
-			for j := 0; j < cols; j++ {
-				old := f64(buf, base+j)
-				left := old
-				if j > 0 {
-					left = f64(buf, base+j-1)
-				}
-				up := prev[j]
-				v := 0.25*up + 0.5*old + 0.25*left
-				putF64(buf, base+j, v)
-				s.residual += abs(v - old)
-			}
-			prev = rowOf(buf, i, cols)
-			if gRow+i == nc.Start {
-				copy(s.firstRow, prev)
-			}
-		}
-		copy(s.carry, prev)
-		return chunkWork(float64(nRows)*float64(cols), buf)
+		return chunkWork(float64(nRows)*float64(s.cfg.Cols), chunkBytes)
 	case 1: // local residual bookkeeping (cheap, in-memory)
 		return float64(nRows)
 	default:
@@ -188,12 +162,40 @@ func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int,
 	}
 }
 
-func rowOf(buf []byte, i, cols int) []float64 {
-	row := make([]float64, cols)
-	for j := range row {
-		row[j] = f64(buf, i*cols+j)
+func (s *jacobiState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {
+	if sec != 0 {
+		return
 	}
-	return row
+	prev := s.haloUp
+	if gRow > nc.Start {
+		prev = s.carry
+	} else {
+		s.residual = 0
+	}
+	// Updated rows alternate between carry and spare, so the row above is
+	// never overwritten while it is read; carry ends as the last row.
+	cols := s.cfg.Cols
+	cur, other := s.spare, s.carry
+	for i := 0; i < nRows; i++ {
+		base := i * cols
+		for j := 0; j < cols; j++ {
+			old := f64(buf, base+j)
+			left := old
+			if j > 0 {
+				left = f64(buf, base+j-1)
+			}
+			up := prev[j]
+			v := 0.25*up + 0.5*old + 0.25*left
+			putF64(buf, base+j, v)
+			cur[j] = v
+			s.residual += abs(v - old)
+		}
+		if gRow+i == nc.Start {
+			copy(s.firstRow, cur)
+		}
+		prev, cur, other = cur, other, cur
+	}
+	s.carry, s.spare = prev, cur
 }
 
 func abs(x float64) float64 {

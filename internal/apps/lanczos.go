@@ -145,7 +145,20 @@ func (s *lanczosState) Init(nc *exec.NodeCtx) {
 	s.w = make([]float64, nc.Count)
 }
 
-func (s *lanczosState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
+func (s *lanczosState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
+	switch sec {
+	case 0:
+		return chunkWork(float64(nRows)*float64(s.cfg.N), chunkBytes)
+	case 1:
+		return 5 * float64(nRows)
+	case 2:
+		return 2 * float64(nRows)
+	default:
+		panic("lanczos: unexpected section")
+	}
+}
+
+func (s *lanczosState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {
 	cfg := s.cfg
 	switch sec {
 	case 0: // w_local = A·v over a chunk of rows; accumulate v·w
@@ -163,7 +176,6 @@ func (s *lanczosState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int
 			s.w[li] = sum
 			s.local += s.v[gi] * sum
 		}
-		return chunkWork(float64(nRows)*float64(cfg.N), buf)
 	case 1: // w −= αv − β_{k−1}v_{k−1}; accumulate ‖w‖²
 		local := 0.0
 		for li := 0; li < nc.Count; li++ {
@@ -172,7 +184,6 @@ func (s *lanczosState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int
 			local += s.w[li] * s.w[li]
 		}
 		s.local = local
-		return 5 * float64(nc.Count)
 	case 2: // v_{k+1} = w/β (local block; the reduction gathers it)
 		s.oldV = append(s.oldV[:0], s.v...)
 		beta := s.betaPrev
@@ -184,7 +195,6 @@ func (s *lanczosState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int
 				s.v[gi] = 0
 			}
 		}
-		return 2 * float64(nc.Count)
 	default:
 		panic("lanczos: unexpected section")
 	}

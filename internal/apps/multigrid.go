@@ -112,9 +112,10 @@ type mgState struct {
 	// for S0/S3, workspace for S1/S2).
 	halo map[int][]float64
 	// carry is the last processed row of the current sweep; firstRow the
-	// first, both captured per section for the exchanges.
-	carry, firstRow []float64
-	residual        float64
+	// first, both captured per section for the exchanges. spare is the
+	// sweep's second row buffer.
+	carry, spare, firstRow []float64
+	residual               float64
 	// GlobalResidual is the reduction result, for verification.
 	GlobalResidual float64
 }
@@ -155,13 +156,36 @@ func (s *mgState) Init(nc *exec.NodeCtx) {
 		}
 	}
 	s.carry = make([]float64, cfg.Cols)
+	s.spare = make([]float64, cfg.Cols)
 	s.firstRow = make([]float64, cfg.Cols)
 }
 
-func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
+// Work charges each sweep per row by section and parity: full rows on
+// the fine grid (plus the coarse correction in S3), half rows on even
+// global rows only for the coarse-grid sections S1 and S2.
+func (s *mgState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
+	cols := float64(s.cfg.Cols)
+	work := 0.0
+	switch sec {
+	case 0:
+		work = float64(nRows) * cols
+	case 1, 2:
+		evens := (gRow+nRows+1)/2 - (gRow+1)/2 // even rows in [gRow, gRow+nRows)
+		work = float64(evens) * (cols / 2)
+	case 3:
+		work = float64(nRows) * (cols + cols/2)
+	case 4:
+		return float64(nRows)
+	default:
+		panic(fmt.Sprintf("multigrid: unexpected section %d", sec))
+	}
+	return chunkWork(work, chunkBytes)
+}
+
+func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {
 	cfg := s.cfg
 	if sec == 4 {
-		return float64(nRows)
+		return
 	}
 	cols := cfg.Cols
 	prev := s.halo[sec]
@@ -172,15 +196,14 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 			s.residual = 0
 		}
 	}
-	work := 0.0
+	// Each row's output alternates between carry and spare, as in Jacobi.
+	rowOut, other := s.spare, s.carry
 	for i := 0; i < nRows; i++ {
 		gi := gRow + i
 		base := i * 2 * cols  // fine row offset (in float64 slots)
 		wsBase := base + cols // workspace row offset
-		var rowOut []float64
 		switch sec {
 		case 0, 3: // smoothing sweeps on the fine grid
-			rowOut = make([]float64, cols)
 			for sw := 0; sw < cfg.Smooths; sw++ {
 				for j := 0; j < cols; j++ {
 					old := f64(buf, base+j)
@@ -200,12 +223,7 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 					}
 				}
 			}
-			work += float64(cols)
-			if sec == 3 {
-				work += float64(cols) / 2
-			}
 		case 1: // restriction: residual of fine rows onto even-row workspace
-			rowOut = make([]float64, cols)
 			if gi%2 == 0 {
 				for j := 0; j < cols; j++ {
 					fine := f64(buf, base+j)
@@ -213,7 +231,6 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 					putF64(buf, wsBase+j, 0.5*r)
 					rowOut[j] = 0.5 * r
 				}
-				work += float64(cols) / 2
 			} else {
 				for j := 0; j < cols; j++ {
 					putF64(buf, wsBase+j, 0)
@@ -221,7 +238,6 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 				}
 			}
 		case 2: // coarse smooth: workspace sweep on even rows
-			rowOut = make([]float64, cols)
 			if gi%2 == 0 {
 				for j := 0; j < cols; j++ {
 					old := f64(buf, wsBase+j)
@@ -233,20 +249,16 @@ func (s *mgState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf
 					putF64(buf, wsBase+j, v)
 					rowOut[j] = v
 				}
-				work += float64(cols) / 2
 			} else {
-				for j := 0; j < cols; j++ {
-					rowOut[j] = prev[j] // pass the coarse row downward
-				}
+				copy(rowOut, prev) // pass the coarse row downward
 			}
 		}
-		prev = rowOut
 		if gi == nc.Start {
 			copy(s.firstRow, rowOut)
 		}
+		prev, rowOut, other = rowOut, other, rowOut
 	}
-	copy(s.carry, prev)
-	return chunkWork(work, buf)
+	s.carry, s.spare = prev, rowOut
 }
 
 func (s *mgState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {

@@ -99,8 +99,9 @@ type rnaState struct {
 	// current tile (zeros for the pipeline head).
 	haloStrip []float64
 	// carryStrip is my last updated row's strip for the current tile,
-	// captured while processing and forwarded downstream.
-	carryStrip []float64
+	// captured while processing and forwarded downstream; spareStrip is
+	// the sweep's second row buffer and zeroStrip the table's boundary.
+	carryStrip, spareStrip, zeroStrip []float64
 	// lastCol[i] is local row i's value at the rightmost column of the
 	// previously processed tile (the T[i][j−1] dependency across strips).
 	lastCol []float64
@@ -118,50 +119,15 @@ func (s *rnaState) Init(nc *exec.NodeCtx) {
 	}
 	s.haloStrip = make([]float64, cfg.strip())
 	s.carryStrip = make([]float64, cfg.strip())
+	s.spareStrip = make([]float64, cfg.strip())
+	s.zeroStrip = make([]float64, cfg.strip())
 	s.lastCol = make([]float64, nc.Count)
 }
 
-func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
-	cfg := s.cfg
+func (s *rnaState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
 	switch sec {
 	case 0:
-		strip := cfg.strip()
-		colBase := tile * strip
-		// up holds the previous row's strip values (current iteration).
-		up := s.haloStrip
-		if gRow > nc.Start {
-			up = s.carryStrip
-		} else if nc.ActiveIndex() == 0 {
-			up = make([]float64, strip) // table boundary row: zeros
-		}
-		if gRow == nc.Start && tile == 0 {
-			s.score = 0
-		}
-		for i := 0; i < nRows; i++ {
-			li := gRow - nc.Start + i
-			left := 0.0
-			if tile > 0 {
-				left = s.lastCol[li]
-			}
-			base := i * strip
-			for j := 0; j < strip; j++ {
-				upv := up[j]
-				m := upv
-				if left > m {
-					m = left
-				}
-				v := 0.5*m + rnaScore(cfg, gRow+i, colBase+j)
-				putF64(buf, base+j, v)
-				left = v
-			}
-			s.lastCol[li] = left
-			up = stripOf(buf, i, strip)
-			if tile == cfg.Tiles-1 {
-				s.score += left // row's final-column value
-			}
-		}
-		copy(s.carryStrip, up)
-		return chunkWork(float64(nRows)*float64(strip), buf)
+		return chunkWork(float64(nRows)*float64(s.cfg.strip()), chunkBytes)
 	case 1:
 		return float64(nRows)
 	default:
@@ -169,12 +135,50 @@ func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, bu
 	}
 }
 
-func stripOf(buf []byte, i, strip int) []float64 {
-	out := make([]float64, strip)
-	for j := range out {
-		out[j] = f64(buf, i*strip+j)
+func (s *rnaState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {
+	if sec != 0 {
+		return
 	}
-	return out
+	cfg := s.cfg
+	strip := cfg.strip()
+	colBase := tile * strip
+	// up holds the previous row's strip values (current iteration).
+	up := s.haloStrip
+	if gRow > nc.Start {
+		up = s.carryStrip
+	} else if nc.ActiveIndex() == 0 {
+		up = s.zeroStrip // table boundary row
+	}
+	if gRow == nc.Start && tile == 0 {
+		s.score = 0
+	}
+	// Rows alternate between carryStrip and spareStrip, as in Jacobi.
+	cur, other := s.spareStrip, s.carryStrip
+	for i := 0; i < nRows; i++ {
+		li := gRow - nc.Start + i
+		left := 0.0
+		if tile > 0 {
+			left = s.lastCol[li]
+		}
+		base := i * strip
+		for j := 0; j < strip; j++ {
+			upv := up[j]
+			m := upv
+			if left > m {
+				m = left
+			}
+			v := 0.5*m + rnaScore(cfg, gRow+i, colBase+j)
+			putF64(buf, base+j, v)
+			cur[j] = v
+			left = v
+		}
+		s.lastCol[li] = left
+		up, cur, other = cur, other, cur
+		if tile == cfg.Tiles-1 {
+			s.score += left // row's final-column value
+		}
+	}
+	s.carryStrip, s.spareStrip = up, cur
 }
 
 func (s *rnaState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {

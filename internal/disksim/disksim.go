@@ -5,10 +5,16 @@
 // which are the same regardless of the variable, and per-element latencies
 // (Lr(v), Lw(v)), which are variable-specific because element sizes and
 // access patterns differ. disksim charges exactly those costs against a
-// rank's virtual clock, stores the bytes so applications compute real
-// results, and implements the asynchronous prefetch engine whose overlap
-// semantics Equation 2 models — including the Figure 5 instrumentation
-// transform (prefetch issue → blocking read, wait → no-op).
+// rank's virtual clock and implements the asynchronous prefetch engine
+// whose overlap semantics Equation 2 models — including the Figure 5
+// instrumentation transform (prefetch issue → blocking read, wait →
+// no-op).
+//
+// An extent either stores its bytes (Store), so applications compute
+// real results, or is size-only (Reserve): every bounds check, panic and
+// timing charge is the same, but no bytes are kept or copied.
+// The timing-only emulator (exec's default) and the disk micro-benchmark
+// use size-only extents, since virtual time never depends on the bytes.
 package disksim
 
 import (
@@ -114,6 +120,9 @@ type Disk struct {
 	// harness) inspects extents while other ranks may still be writing.
 	mu    sync.Mutex
 	store map[string][]byte //mheta:guardedby mu
+	// sizes holds the size-only extents (see Reserve); a name is in at
+	// most one of store and sizes.
+	sizes map[string]int //mheta:guardedby mu
 
 	busyUntil vclock.Time
 	pending   map[int]*pendingRead
@@ -139,8 +148,26 @@ func New(p Params, noise *vclock.Noise) *Disk {
 		noise:      noise,
 		contention: 1,
 		store:      make(map[string][]byte),
+		sizes:      make(map[string]int),
 		pending:    make(map[int]*pendingRead),
 	}
+}
+
+// zeroPage backs reads of size-only extents. It is never written, so all
+// disks share it, and as a zero-initialised global it costs address
+// space only: no heap, and no resident memory, since reading untouched
+// pages maps the kernel's shared zero page. 32 MiB covers the largest
+// node memory of the Table 1 clusters, hence every in-core load and ICLA
+// chunk they produce; larger reads allocate.
+var zeroPage [32 << 20]byte
+
+// zeros returns n read-only zero bytes, capacity-limited so an append
+// cannot write into zeroPage.
+func zeros(n int) []byte {
+	if n > len(zeroPage) {
+		return make([]byte, n)
+	}
+	return zeroPage[:n:n]
 }
 
 // SetContention sets the shared-disk slowdown factor (≥1); see the
@@ -165,13 +192,6 @@ func (d *Disk) SetMode(m Mode) { d.mode = m }
 // GetMode reports the current mode.
 func (d *Disk) GetMode() Mode { return d.mode }
 
-// Create allocates (or reallocates) a named extent of n bytes, zeroed.
-func (d *Disk) Create(name string, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.store[name] = make([]byte, n)
-}
-
 // Store writes data into a named extent without charging any time. It is
 // used to lay out initial datasets "already on disk" before a run starts,
 // matching the paper's Local Placement rule (each node's block starts on
@@ -179,14 +199,30 @@ func (d *Disk) Create(name string, n int) {
 func (d *Disk) Store(name string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	delete(d.sizes, name)
 	d.store[name] = append([]byte(nil), data...)
 }
 
+// Reserve creates (or replaces) a size-only extent of n bytes, without
+// charging any time. Reads, writes and prefetches of it are bounds-checked
+// and timed exactly like those of a stored extent, but keep no bytes:
+// reads return zeros and writes copy nothing.
+func (d *Disk) Reserve(name string, n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.store, name)
+	d.sizes[name] = n
+}
+
 // Extent returns a copy of the named extent, or nil if absent. Test and
-// verification helper; charges no time.
+// verification helper; charges no time. It panics on a size-only extent,
+// which has no values to inspect.
 func (d *Disk) Extent(name string) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if _, ok := d.sizes[name]; ok {
+		panic(fmt.Sprintf("disksim: extent %q is size-only and holds no data (run exec with Options.Numerics to keep values)", name))
+	}
 	b, ok := d.store[name]
 	if !ok {
 		return nil
@@ -198,8 +234,11 @@ func (d *Disk) Extent(name string) []byte {
 func (d *Disk) Extents() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.store))
+	names := make([]string, 0, len(d.store)+len(d.sizes))
 	for k := range d.store {
+		names = append(names, k)
+	}
+	for k := range d.sizes {
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -210,20 +249,57 @@ func (d *Disk) Extents() []string {
 func (d *Disk) Size(name string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if n, ok := d.sizes[name]; ok {
+		return n
+	}
 	return len(d.store[name])
 }
 
-func (d *Disk) slice(name string, off, n int) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// span bounds-checks [off, off+n) of the named extent, panicking with
+// op's message when the extent is missing or too short. It returns the
+// stored bytes, or nil for a size-only extent.
+//
+//mheta:locks requires mu
+func (d *Disk) span(op, name string, off, n int) []byte {
 	b, ok := d.store[name]
-	if !ok {
-		panic(fmt.Sprintf("disksim: read of missing extent %q", name))
+	size := len(b)
+	if s, sized := d.sizes[name]; sized {
+		ok, size = true, s
 	}
-	if off < 0 || n < 0 || off+n > len(b) {
-		panic(fmt.Sprintf("disksim: read [%d,%d) out of extent %q (len %d)", off, off+n, name, len(b)))
+	if !ok || off < 0 || n < 0 || off+n > size {
+		if op == "write" {
+			panic(fmt.Sprintf("disksim: write [%d,%d) out of extent %q", off, off+n, name))
+		}
+		if !ok {
+			panic(fmt.Sprintf("disksim: read of missing extent %q", name))
+		}
+		panic(fmt.Sprintf("disksim: read [%d,%d) out of extent %q (len %d)", off, off+n, name, size))
+	}
+	if b == nil {
+		return nil
 	}
 	return b[off : off+n]
+}
+
+// readData returns a private copy of [off, off+n) of the named extent, or
+// shared zeros for a size-only one.
+func (d *Disk) readData(name string, off, n int) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if b := d.span("read", name, off, n); b != nil {
+		return append([]byte(nil), b...)
+	}
+	return zeros(n)
+}
+
+// writeData bounds-checks a write and stores data unless the extent is
+// size-only.
+func (d *Disk) writeData(name string, off int, data []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if b := d.span("write", name, off, len(data)); b != nil {
+		copy(b, data)
+	}
 }
 
 func (d *Disk) perturb(c vclock.Duration) vclock.Duration {
@@ -246,9 +322,10 @@ func (d *Disk) serviceTime(issue vclock.Time, cost vclock.Duration) vclock.Time 
 
 // Read synchronously reads n bytes at off from the named extent, charging
 // Or + n·Lr against clk (plus disk-queue delay). It returns the bytes read
-// and the charged duration (used by the instrumentation hooks).
+// (shared read-only zeros for a size-only extent) and the charged
+// duration (used by the instrumentation hooks).
 func (d *Disk) Read(clk *vclock.Clock, name string, off, n int) ([]byte, vclock.Duration) {
-	data := append([]byte(nil), d.slice(name, off, n)...)
+	data := d.readData(name, off, n)
 	cost := d.perturb(d.params.ReadCost(n))
 	done := d.serviceTime(clk.Now(), cost)
 	start := clk.Now()
@@ -258,17 +335,11 @@ func (d *Disk) Read(clk *vclock.Clock, name string, off, n int) ([]byte, vclock.
 	return data, clk.Since(start)
 }
 
-// Write synchronously writes data at off into the named extent, charging
-// Ow + len·Lw against clk. It returns the charged duration.
+// Write synchronously writes data at off into the named extent (copying
+// nothing into a size-only one), charging Ow + len·Lw against clk. It
+// returns the charged duration.
 func (d *Disk) Write(clk *vclock.Clock, name string, off int, data []byte) vclock.Duration {
-	d.mu.Lock()
-	b, ok := d.store[name]
-	if !ok || off < 0 || off+len(data) > len(b) {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("disksim: write [%d,%d) out of extent %q", off, off+len(data), name))
-	}
-	copy(b[off:], data)
-	d.mu.Unlock()
+	d.writeData(name, off, data)
 	cost := d.perturb(d.params.WriteCost(len(data)))
 	done := d.serviceTime(clk.Now(), cost)
 	start := clk.Now()
@@ -318,7 +389,7 @@ func (d *Disk) PrefetchWait(clk *vclock.Clock, tag int) ([]byte, vclock.Duration
 	if d.mode != ModeInstrument {
 		waited = clk.WaitUntil(p.complete)
 	}
-	return append([]byte(nil), d.slice(p.name, p.off, p.n)...), waited
+	return d.readData(p.name, p.off, p.n), waited
 }
 
 // OutstandingPrefetches reports how many issued prefetches have not been

@@ -2,6 +2,7 @@ package disksim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func testParams() Params {
 
 func TestReadChargesSeekPlusBytes(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 1000)
+	d.Store("x", make([]byte, 1000))
 	clk := vclock.NewClock()
 	_, dur := d.Read(clk, "x", 0, 100)
 	want := vclock.Duration(1e-3 + 100e-6)
@@ -34,7 +35,7 @@ func TestReadChargesSeekPlusBytes(t *testing.T) {
 
 func TestWriteChargesSeekPlusBytes(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 1000)
+	d.Store("x", make([]byte, 1000))
 	clk := vclock.NewClock()
 	dur := d.Write(clk, "x", 0, make([]byte, 50))
 	want := vclock.Duration(2e-3 + 100e-6)
@@ -63,9 +64,9 @@ func TestStoreAndExtentRoundTrip(t *testing.T) {
 
 func TestExtentsSorted(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("b", 1)
-	d.Create("a", 1)
-	d.Create("c", 1)
+	d.Store("b", make([]byte, 1))
+	d.Store("a", make([]byte, 1))
+	d.Store("c", make([]byte, 1))
 	names := d.Extents()
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Fatalf("Extents = %v", names)
@@ -74,7 +75,7 @@ func TestExtentsSorted(t *testing.T) {
 
 func TestReadWriteDataIntegrity(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 100)
+	d.Store("x", make([]byte, 100))
 	clk := vclock.NewClock()
 	payload := []byte("hello disk")
 	d.Write(clk, "x", 10, payload)
@@ -86,7 +87,7 @@ func TestReadWriteDataIntegrity(t *testing.T) {
 
 func TestReadOutOfRangePanics(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 10)
+	d.Store("x", make([]byte, 10))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range read did not panic")
@@ -107,7 +108,7 @@ func TestReadMissingExtentPanics(t *testing.T) {
 
 func TestPrefetchOverlapsComputation(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 10000)
+	d.Store("x", make([]byte, 10000))
 	clk := vclock.NewClock()
 	tag := d.PrefetchIssue(clk, "x", 0, 1000) // read cost 1e-3 + 1e-3 = 2e-3
 	afterIssue := clk.Now()
@@ -124,7 +125,7 @@ func TestPrefetchOverlapsComputation(t *testing.T) {
 
 func TestPrefetchWaitBlocksWhenComputeShort(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 10000)
+	d.Store("x", make([]byte, 10000))
 	clk := vclock.NewClock()
 	tag := d.PrefetchIssue(clk, "x", 0, 1000)
 	// No compute: wait pays the remaining latency.
@@ -151,7 +152,7 @@ func TestPrefetchReturnsData(t *testing.T) {
 
 func TestInstrumentModeTransform(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 10000)
+	d.Store("x", make([]byte, 10000))
 	d.SetMode(ModeInstrument)
 	clk := vclock.NewClock()
 	tag := d.PrefetchIssue(clk, "x", 0, 1000)
@@ -169,7 +170,7 @@ func TestInstrumentModeTransform(t *testing.T) {
 
 func TestDiskQueueSerialises(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 10000)
+	d.Store("x", make([]byte, 10000))
 	clk := vclock.NewClock()
 	// Two prefetches issued back to back: the second starts only after
 	// the first completes.
@@ -191,7 +192,7 @@ func TestDiskQueueSerialises(t *testing.T) {
 
 func TestWriteWaitsForBusyDisk(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 10000)
+	d.Store("x", make([]byte, 10000))
 	clk := vclock.NewClock()
 	tag := d.PrefetchIssue(clk, "x", 0, 1000) // disk busy ~2e-3
 	dur := d.Write(clk, "x", 0, make([]byte, 10))
@@ -204,7 +205,7 @@ func TestWriteWaitsForBusyDisk(t *testing.T) {
 
 func TestOutstandingPrefetches(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 100)
+	d.Store("x", make([]byte, 100))
 	clk := vclock.NewClock()
 	tag := d.PrefetchIssue(clk, "x", 0, 10)
 	if d.OutstandingPrefetches() != 1 {
@@ -228,7 +229,7 @@ func TestWaitUnknownTagPanics(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 1000)
+	d.Store("x", make([]byte, 1000))
 	clk := vclock.NewClock()
 	d.Read(clk, "x", 0, 100)
 	d.Write(clk, "x", 0, make([]byte, 200))
@@ -244,7 +245,7 @@ func TestCounters(t *testing.T) {
 
 func TestResetTiming(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 100)
+	d.Store("x", make([]byte, 100))
 	clk := vclock.NewClock()
 	d.Read(clk, "x", 0, 10)
 	d.ResetTiming()
@@ -288,7 +289,7 @@ func TestReadCostLinearityProperty(t *testing.T) {
 
 func TestNoisyDiskWithinBounds(t *testing.T) {
 	d := New(testParams(), vclock.NewNoise(3, 0.02))
-	d.Create("x", 1000)
+	d.Store("x", make([]byte, 1000))
 	for i := 0; i < 100; i++ {
 		clk := vclock.NewClock()
 		d.ResetTiming()
@@ -302,7 +303,7 @@ func TestNoisyDiskWithinBounds(t *testing.T) {
 
 func TestContentionScalesServiceTimes(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 1000)
+	d.Store("x", make([]byte, 1000))
 	d.SetContention(3)
 	clk := vclock.NewClock()
 	_, dur := d.Read(clk, "x", 0, 100)
@@ -314,7 +315,7 @@ func TestContentionScalesServiceTimes(t *testing.T) {
 
 func TestContentionDoesNotScaleIssueCost(t *testing.T) {
 	d := New(testParams(), nil)
-	d.Create("x", 1000)
+	d.Store("x", make([]byte, 1000))
 	d.SetContention(4)
 	clk := vclock.NewClock()
 	tag := d.PrefetchIssue(clk, "x", 0, 10)
@@ -329,5 +330,104 @@ func TestContentionClampedAtOne(t *testing.T) {
 	d.SetContention(0.5)
 	if d.Contention() != 1 {
 		t.Fatalf("contention %v, want clamp to 1", d.Contention())
+	}
+}
+
+// sizeOnlyOps drives the same read/write/prefetch sequence, in both disk
+// modes, against one extent and returns the clock after each operation.
+func sizeOnlyOps(d *Disk) []vclock.Time {
+	var out []vclock.Time
+	for _, m := range []Mode{ModeNormal, ModeInstrument} {
+		d.SetMode(m)
+		clk := vclock.NewClock()
+		d.Read(clk, "x", 100, 400)
+		out = append(out, clk.Now())
+		d.Write(clk, "x", 0, make([]byte, 1000))
+		out = append(out, clk.Now())
+		tag := d.PrefetchIssue(clk, "x", 500, 500)
+		out = append(out, clk.Now())
+		clk.Advance(1e-4)
+		d.PrefetchWait(clk, tag)
+		out = append(out, clk.Now())
+	}
+	return out
+}
+
+func TestReserveTimesLikeStoredExtent(t *testing.T) {
+	nz := func() *vclock.Noise { return vclock.NewNoise(7, 0.02) }
+	stored := New(testParams(), nz())
+	stored.Store("x", make([]byte, 1000))
+	sized := New(testParams(), nz())
+	sized.Reserve("x", 1000)
+	a, b := sizeOnlyOps(stored), sizeOnlyOps(sized)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("op %d: size-only extent at %v, stored extent at %v", i, b[i], a[i])
+		}
+	}
+	if sized.Size("x") != 1000 || len(sized.Extents()) != 1 {
+		t.Fatalf("size-only extent: Size %d, Extents %v", sized.Size("x"), sized.Extents())
+	}
+	if stored.BytesRead != sized.BytesRead || stored.BytesWritten != sized.BytesWritten {
+		t.Fatal("size-only extent counted different traffic")
+	}
+}
+
+func TestReserveReadsZerosAndKeepsNoBytes(t *testing.T) {
+	d := New(testParams(), nil)
+	d.Reserve("x", 64)
+	clk := vclock.NewClock()
+	d.Write(clk, "x", 0, bytes.Repeat([]byte{7}, 64))
+	got, _ := d.Read(clk, "x", 8, 16)
+	if len(got) != 16 || cap(got) != 16 || !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("size-only read returned %v (cap %d), want 16 zero bytes", got, cap(got))
+	}
+	tag := d.PrefetchIssue(clk, "x", 0, 32)
+	if got, _ := d.PrefetchWait(clk, tag); !bytes.Equal(got, make([]byte, 32)) {
+		t.Fatalf("size-only prefetch returned %v", got)
+	}
+}
+
+func TestReserveKeepsBoundsChecks(t *testing.T) {
+	for name, op := range map[string]func(d *Disk){
+		"read":     func(d *Disk) { d.Read(vclock.NewClock(), "x", 5, 10) },
+		"write":    func(d *Disk) { d.Write(vclock.NewClock(), "x", 8, make([]byte, 4)) },
+		"prefetch": func(d *Disk) { d.PrefetchWait(vclock.NewClock(), d.PrefetchIssue(vclock.NewClock(), "x", 0, 11)) },
+	} {
+		d := New(testParams(), nil)
+		d.Reserve("x", 10)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past a size-only extent did not panic", name)
+				}
+			}()
+			op(d)
+		}()
+	}
+}
+
+func TestExtentOfSizeOnlyPanics(t *testing.T) {
+	d := New(testParams(), nil)
+	d.Reserve("x", 10)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `extent "x" is size-only`) || !strings.Contains(msg, "Numerics") {
+			t.Fatalf("Extent of a size-only extent: panic %q, want a size-only message naming Numerics", msg)
+		}
+	}()
+	d.Extent("x")
+}
+
+func TestReserveAndStoreReplaceEachOther(t *testing.T) {
+	d := New(testParams(), nil)
+	d.Store("x", []byte{1, 2})
+	d.Reserve("x", 8)
+	if d.Size("x") != 8 || len(d.Extents()) != 1 {
+		t.Fatalf("Reserve over Store: Size %d, Extents %v", d.Size("x"), d.Extents())
+	}
+	d.Store("x", []byte{3})
+	if got := d.Extent("x"); !bytes.Equal(got, []byte{3}) || len(d.Extents()) != 1 {
+		t.Fatalf("Store over Reserve: Extent %v, Extents %v", got, d.Extents())
 	}
 }

@@ -167,15 +167,14 @@ func (m *evRank) step() bool {
 					i := m.nc.actIdx
 					tag := sectionTag(m.sec)
 					if i > 0 {
-						m.r.Send(m.nc.actives[i-1], tag, m.nc.state.BoundaryMsg(m.nc, m.sec, 0, -1))
+						m.r.Send(m.nc.actives[i-1], tag, m.nc.boundaryMsg(m.sec, 0, -1))
 					}
 					if i < len(m.nc.actives)-1 {
-						m.r.Send(m.nc.actives[i+1], tag, m.nc.state.BoundaryMsg(m.nc, m.sec, 0, +1))
+						m.r.Send(m.nc.actives[i+1], tag, m.nc.boundaryMsg(m.sec, 0, +1))
 					}
 					m.pc = pcNNRecvLeft
 				case program.CommReduction:
-					vals := m.nc.state.ReduceVal(m.nc, m.sec)
-					m.allred = &mpi.AllreduceSM{Tag: sectionTag(m.sec), Op: mpi.OpSum, Vals: vals}
+					m.allred = &mpi.AllreduceSM{Tag: sectionTag(m.sec), Op: mpi.OpSum, Vals: m.nc.reduceVal(m.sec)}
 					m.pc = pcReduce
 				default:
 					panic(fmt.Sprintf("exec: unsupported comm pattern %v", s.Comm))
@@ -205,7 +204,7 @@ func (m *evRank) step() bool {
 				return false
 			}
 			m.recv = nil
-			m.nc.state.OnBoundary(m.nc, m.sec, m.tile, -1, data)
+			m.nc.onBoundary(m.sec, m.tile, -1, data)
 			m.pipeBody(&m.nc.Prog.Sections[m.sec])
 			m.pc = pcPipeTile
 
@@ -220,7 +219,7 @@ func (m *evRank) step() bool {
 					return false
 				}
 				m.recv = nil
-				m.nc.state.OnBoundary(m.nc, m.sec, 0, -1, data)
+				m.nc.onBoundary(m.sec, 0, -1, data)
 			}
 			m.pc = pcNNRecvRight
 
@@ -235,7 +234,7 @@ func (m *evRank) step() bool {
 					return false
 				}
 				m.recv = nil
-				m.nc.state.OnBoundary(m.nc, m.sec, 0, +1, data)
+				m.nc.onBoundary(m.sec, 0, +1, data)
 			}
 			m.pc = pcSectionEnd
 
@@ -243,7 +242,7 @@ func (m *evRank) step() bool {
 			if !m.allred.Step(m.r) {
 				return false
 			}
-			m.nc.state.OnReduce(m.nc, m.sec, m.allred.Result())
+			m.nc.onReduce(m.sec, m.allred.Result())
 			m.allred = nil
 			m.pc = pcSectionEnd
 
@@ -283,7 +282,7 @@ func (m *evRank) pipeBody(s *program.Section) {
 		m.nc.runStage(m.sec, sti, m.tile, s)
 	}
 	if m.nc.actIdx < len(m.nc.actives)-1 {
-		m.r.Send(m.nc.actives[m.nc.actIdx+1], sectionTag(m.sec), m.nc.state.BoundaryMsg(m.nc, m.sec, m.tile, +1))
+		m.r.Send(m.nc.actives[m.nc.actIdx+1], sectionTag(m.sec), m.nc.boundaryMsg(m.sec, m.tile, +1))
 	}
 	m.tile++
 }

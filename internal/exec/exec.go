@@ -1,9 +1,18 @@
 // Package exec is the application executor: it interprets a program.IR on
-// the emulated cluster, performing the real computation (each application
-// supplies numeric kernels), the real out-of-core I/O through disksim, and
-// the real message passing through mpi — all under virtual time. This is
-// the "actual execution" side of the paper's evaluation; the core package
-// is the predicting side.
+// the emulated cluster — out-of-core I/O through disksim and message
+// passing through mpi, all under virtual time. This is the "actual
+// execution" side of the paper's evaluation; the core package is the
+// predicting side.
+//
+// A run has two planes. The timing plane charges virtual time: work units
+// from State.Work, chunk and extent sizes, and the message sizes the IR
+// declares (MsgBytesPerNeighbor, ReduceBytes). Virtual time never depends
+// on data values, so by default that is all a run computes: datasets are
+// size-only disk extents and messages carry zeros. The data plane — the
+// applications' real numeric kernels over real bytes — runs only when
+// Options.Numerics is set, for callers that inspect computed values (the
+// applications' reference tests, examples). Both planes run the same
+// code path and produce bit-identical clocks, traces and recorders.
 //
 // The executor owns the structure MHETA assumes (§3.1): iterations contain
 // parallel sections, sections contain tiles, tiles contain stages; each
@@ -42,31 +51,40 @@ const (
 	ModeInstrument
 )
 
-// State is the per-rank application state: numeric kernels plus whatever
-// halos, in-core vectors and replicated data the application keeps.
+// State is the per-rank application state: a cost function plus numeric
+// kernels over whatever halos, in-core vectors and replicated data the
+// application keeps. Only Work is called in every run; the other methods
+// form the data plane and run only under Options.Numerics.
 type State interface {
 	// Init runs once before the iteration loop: it lays the rank's blocks
 	// out on its local disk (untimed — the dataset starts on local disk
 	// under the Local Placement rule) and prepares in-memory state.
 	// In-core variables are loaded by the executor after Init returns.
+	// Timing-only runs skip Init and reserve size-only extents of each
+	// distributed variable instead.
 	Init(nc *NodeCtx)
-	// Process performs the real computation for rows
-	// [gRow, gRow+nRows) of stage (sec, stg) within tile, over the chunk
-	// bytes buf (aliasing in-core memory, or a disk chunk that the
-	// executor writes back unless the variable is read-only). It returns
-	// the work units consumed, which the executor charges to the virtual
-	// clock; returning actual per-row cost (e.g. nonzero counts for
-	// sparse CG) is how irregular workloads diverge from MHETA's
-	// uniform-scaling assumption.
-	Process(nc *NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64
+	// Work returns the work units that rows [gRow, gRow+nRows) of stage
+	// (sec, stg) within tile consume when the stage's chunk is chunkBytes
+	// long (0 when the stage streams no variable). It is the only source
+	// of charged computation, so it must not depend on data values or on
+	// Init. Returning actual per-row cost (e.g. nonzero counts for sparse
+	// CG) is how irregular workloads diverge from MHETA's uniform-scaling
+	// assumption.
+	Work(nc *NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64
+	// Process performs the real computation for the same rows over the
+	// chunk bytes buf (aliasing in-core memory, or a disk chunk that the
+	// executor writes back unless the variable is read-only).
+	Process(nc *NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte)
 	// BoundaryMsg returns the payload this rank sends to its neighbour in
 	// direction dir (-1 up the chain, +1 down) for the given section and
-	// tile. Pipelined sections only use dir=+1.
+	// tile: exactly the section's MsgBytesPerNeighbor bytes. Pipelined
+	// sections only use dir=+1.
 	BoundaryMsg(nc *NodeCtx, sec, tile, dir int) []byte
 	// OnBoundary delivers a received boundary payload.
 	OnBoundary(nc *NodeCtx, sec, tile, dir int, data []byte)
 	// ReduceVal returns this rank's contribution to the section-ending
-	// reduction; OnReduce receives the combined result.
+	// reduction — ReduceBytes/8 values; OnReduce receives the combined
+	// result.
 	ReduceVal(nc *NodeCtx, sec int) []float64
 	OnReduce(nc *NodeCtx, sec int, vals []float64)
 }
@@ -92,7 +110,7 @@ type NodeCtx struct {
 	// laid out tile-major (the on-disk layout).
 	InCore map[string][]byte
 
-	app     *App
+	env     *runEnv
 	state   State
 	plan    map[string]memsim.Layout
 	jack    *mpijack.Jack
@@ -149,6 +167,12 @@ type Options struct {
 	// numerator of the scale benchmarks). Ignored by the goroutine
 	// engine.
 	EventStats *sched.Stats
+	// Numerics runs the data plane as well: datasets are materialised on
+	// disk, State.Process computes real values, and messages carry the
+	// applications' payloads, checked against the sizes the IR declares.
+	// Off (the default), a run only keeps time, which is all that
+	// clocks, traces and recorders depend on.
+	Numerics bool
 }
 
 // runEnv is one run's precomputed, engine-independent setup, shared by
@@ -166,6 +190,12 @@ type runEnv struct {
 	recs       []*mpijack.Recorder
 	starts     []float64
 	ends       []float64
+	// errs[p] is the first data-plane contract violation on rank p.
+	errs []error
+	// zeroMsg and zeroVals are the shared, read-only payloads of
+	// timing-only sends and reductions, sized for the largest declared.
+	zeroMsg  []byte
+	zeroVals []float64
 }
 
 // Run executes app under distribution d on world w.
@@ -179,6 +209,11 @@ func Run(w *mpi.World, app *App, d dist.Distribution, opts Options) (Result, err
 		env.runGoroutine()
 	default:
 		if err := env.runEvent(); err != nil {
+			return Result{}, err
+		}
+	}
+	for _, err := range env.errs {
+		if err != nil {
 			return Result{}, err
 		}
 	}
@@ -205,6 +240,15 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 	if opts.Mode == ModeInstrument {
 		iters = 1
 	}
+	var maxMsg, maxReduce int64
+	for _, s := range app.Prog.Sections {
+		if s.MsgBytesPerNeighbor < 0 || s.ReduceBytes < 0 || s.ReduceBytes%8 != 0 {
+			return nil, fmt.Errorf("exec: program %q section %q: MsgBytesPerNeighbor %d, ReduceBytes %d: sizes must be non-negative and reductions whole float64s",
+				app.Prog.Name, s.Name, s.MsgBytesPerNeighbor, s.ReduceBytes)
+		}
+		maxMsg = max(maxMsg, s.MsgBytesPerNeighbor)
+		maxReduce = max(maxReduce, s.ReduceBytes)
+	}
 
 	n := w.Size()
 	env := &runEnv{
@@ -219,6 +263,11 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 		recs:       make([]*mpijack.Recorder, n),
 		starts:     make([]float64, n),
 		ends:       make([]float64, n),
+		errs:       make([]error, n),
+	}
+	if !opts.Numerics {
+		env.zeroMsg = make([]byte, maxMsg)
+		env.zeroVals = make([]float64, maxReduce/8)
 	}
 	row := 0
 	for p, wk := range d {
@@ -242,10 +291,11 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 }
 
 // setupRank builds rank r's NodeCtx, wires profilers and disk modes,
-// initialises application state, and performs the compulsory in-core
-// loads — everything that happens before the aligning barrier. All of
-// it is rank-local (Init and loadInCore only touch the rank's own clock
-// and disk), so both engines call it identically.
+// initialises application state (or, timing only, reserves the dataset's
+// extents), and performs the compulsory in-core loads — everything that
+// happens before the aligning barrier. All of it is rank-local (Init and
+// loadInCore only touch the rank's own clock and disk), so both engines
+// call it identically.
 func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
 	p := r.Rank()
 	nc := &NodeCtx{
@@ -255,7 +305,7 @@ func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
 		Start:   env.startOf[p],
 		Count:   env.d[p],
 		InCore:  make(map[string][]byte),
-		app:     env.app,
+		env:     env,
 		mode:    env.opts.Mode,
 		actIdx:  env.actIdx[p],
 		actives: env.actives,
@@ -279,7 +329,13 @@ func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
 
 	r.Disk().SetContention(env.contention)
 	nc.state = env.app.NewState(nc)
-	nc.state.Init(nc)
+	if env.opts.Numerics {
+		nc.state.Init(nc)
+	} else if nc.Count > 0 {
+		for _, v := range nc.Prog.DistributedVars() {
+			r.Disk().Reserve(v.Name, int(int64(nc.Count)*v.ElemBytes))
+		}
+	}
 	nc.computeResidency()
 	nc.loadInCore()
 	return nc
@@ -423,8 +479,11 @@ func (nc *NodeCtx) loadInCore() {
 // measured region — the program's terminal output write, so post-run
 // verification sees final values whether a variable lived in or out of
 // core. The flush is untimed: it is outside the iterative phase both the
-// emulator and the model measure.
+// emulator and the model measure, so timing-only runs skip it.
 func (nc *NodeCtx) flushInCore() {
+	if !nc.env.opts.Numerics {
+		return
+	}
 	for _, v := range nc.Prog.DistributedVars() {
 		if v.ReadOnly {
 			continue

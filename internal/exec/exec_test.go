@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"strings"
 	"testing"
 
 	"mheta/internal/apps"
@@ -8,6 +9,7 @@ import (
 	"mheta/internal/dist"
 	"mheta/internal/exec"
 	"mheta/internal/mpi"
+	"mheta/internal/program"
 )
 
 func tinyJacobi() (*exec.App, apps.JacobiConfig) {
@@ -124,11 +126,11 @@ func TestOOCNumericsMatchInCore(t *testing.T) {
 	d := dist.Block(cfg.Rows, 4)
 
 	wBig := mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0)
-	if _, err := exec.Run(wBig, app, d, exec.Options{}); err != nil {
+	if _, err := exec.Run(wBig, app, d, exec.Options{Numerics: true}); err != nil {
 		t.Fatal(err)
 	}
 	wSmall := mpi.NewWorld(uniformSpec(4, 8<<10), 1, 0)
-	if _, err := exec.Run(wSmall, app, d, exec.Options{}); err != nil {
+	if _, err := exec.Run(wSmall, app, d, exec.Options{Numerics: true}); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
@@ -156,11 +158,11 @@ func TestPrefetchNumericsMatchSync(t *testing.T) {
 	spec := uniformSpec(4, 8<<10) // force out of core
 
 	wS := mpi.NewWorld(spec, 1, 0)
-	if _, err := exec.Run(wS, apps.NewJacobi(cfgS), d, exec.Options{}); err != nil {
+	if _, err := exec.Run(wS, apps.NewJacobi(cfgS), d, exec.Options{Numerics: true}); err != nil {
 		t.Fatal(err)
 	}
 	wP := mpi.NewWorld(spec, 1, 0)
-	if _, err := exec.Run(wP, apps.NewJacobi(cfgP), d, exec.Options{}); err != nil {
+	if _, err := exec.Run(wP, apps.NewJacobi(cfgP), d, exec.Options{Numerics: true}); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
@@ -381,4 +383,61 @@ func TestSharedDiskContentionCounts(t *testing.T) {
 	if k := exec.SharedDiskContention(spec, app.Prog, d2, false); k != 1 {
 		t.Fatalf("k = %v, want 1", k)
 	}
+}
+
+func TestNumericsSizeContract(t *testing.T) {
+	// The timing plane charges the message sizes the IR declares, so a
+	// numerics run must reject an application whose payloads disagree
+	// with them; a timing-only run trusts the declaration.
+	cases := []struct {
+		name string
+		edit func(p *program.Program)
+		want string
+	}{
+		{"boundary", func(p *program.Program) { p.Sections[0].MsgBytesPerNeighbor /= 2 }, "MsgBytesPerNeighbor"},
+		{"reduction", func(p *program.Program) { p.Sections[1].ReduceBytes = 16 }, "ReduceBytes"},
+	}
+	for _, c := range cases {
+		for _, eng := range []exec.Engine{exec.EngineEvent, exec.EngineGoroutine} {
+			app, cfg := tinyJacobi()
+			c.edit(app.Prog)
+			d := dist.Block(cfg.Rows, 4)
+			_, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, d, exec.Options{Numerics: true, Engine: eng})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s/%v: numerics run of a mis-declared app returned %v, want an error naming %s", c.name, eng, err, c.want)
+			}
+			if _, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, d, exec.Options{Engine: eng}); err != nil {
+				t.Errorf("%s/%v: timing-only run: %v", c.name, eng, err)
+			}
+		}
+	}
+}
+
+func TestRunRejectsRaggedReduction(t *testing.T) {
+	app, cfg := tinyJacobi()
+	app.Prog.Sections[1].ReduceBytes = 12
+	for _, numerics := range []bool{false, true} {
+		_, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, dist.Block(cfg.Rows, 4), exec.Options{Numerics: numerics})
+		if err == nil {
+			t.Errorf("numerics=%v: a 12-byte float64 reduction was accepted", numerics)
+		}
+	}
+}
+
+func TestTimingOnlyRunKeepsNoData(t *testing.T) {
+	// Forgetting Numerics must fail loudly, not compare zero buffers.
+	app, cfg := tinyJacobi()
+	w := mpi.NewWorld(uniformSpec(4, 8<<10), 1, 0)
+	if _, err := exec.Run(w, app, dist.Block(cfg.Rows, 4), exec.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.Rank(0).Disk().Size("B"), cfg.Rows/4*cfg.Cols*8; got != want {
+		t.Fatalf("reserved extent of %d bytes, want %d", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Extent of a timing-only run's dataset did not panic")
+		}
+	}()
+	w.Rank(0).Disk().Extent("B")
 }

@@ -76,13 +76,13 @@ func (nc *NodeCtx) runPipelineSection(si int, s *program.Section) {
 		}
 		if i > 0 {
 			data := nc.R.Recv(nc.actives[i-1], tag)
-			nc.state.OnBoundary(nc, si, k, -1, data)
+			nc.onBoundary(si, k, -1, data)
 		}
 		for sti := range s.Stages {
 			nc.runStage(si, sti, k, s)
 		}
 		if i < len(nc.actives)-1 {
-			nc.R.Send(nc.actives[i+1], tag, nc.state.BoundaryMsg(nc, si, k, +1))
+			nc.R.Send(nc.actives[i+1], tag, nc.boundaryMsg(si, k, +1))
 		}
 	}
 }
@@ -102,21 +102,20 @@ func (nc *NodeCtx) runEndComm(si int, s *program.Section) {
 		// Send left, send right, receive left, receive right — the order
 		// the model's recurrence mirrors.
 		if i > 0 {
-			nc.R.Send(nc.actives[i-1], tag, nc.state.BoundaryMsg(nc, si, 0, -1))
+			nc.R.Send(nc.actives[i-1], tag, nc.boundaryMsg(si, 0, -1))
 		}
 		if i < len(nc.actives)-1 {
-			nc.R.Send(nc.actives[i+1], tag, nc.state.BoundaryMsg(nc, si, 0, +1))
+			nc.R.Send(nc.actives[i+1], tag, nc.boundaryMsg(si, 0, +1))
 		}
 		if i > 0 {
-			nc.state.OnBoundary(nc, si, 0, -1, nc.R.Recv(nc.actives[i-1], tag))
+			nc.onBoundary(si, 0, -1, nc.R.Recv(nc.actives[i-1], tag))
 		}
 		if i < len(nc.actives)-1 {
-			nc.state.OnBoundary(nc, si, 0, +1, nc.R.Recv(nc.actives[i+1], tag))
+			nc.onBoundary(si, 0, +1, nc.R.Recv(nc.actives[i+1], tag))
 		}
 	case program.CommReduction:
-		vals := nc.state.ReduceVal(nc, si)
-		res := nc.R.Allreduce(tag, mpi.OpSum, vals)
-		nc.state.OnReduce(nc, si, res)
+		res := nc.R.Allreduce(tag, mpi.OpSum, nc.reduceVal(si))
+		nc.onReduce(si, res)
 	default:
 		panic(fmt.Sprintf("exec: unsupported comm pattern %v", s.Comm))
 	}
@@ -138,14 +137,12 @@ func (nc *NodeCtx) runStage(si, sti, tile int, s *program.Section) {
 	if v == nil {
 		// No streamed variable: pure in-memory computation over the
 		// tile's rows.
-		work := nc.state.Process(nc, si, sti, tile, nc.Start, nc.Count, nil)
-		nc.compute(work)
+		nc.process(si, sti, tile, nc.Start, nc.Count, nil)
 	} else {
 		layout := nc.plan[v.Name]
 		if layout.InCore {
 			buf := nc.inCoreTile(v, s.Tiles, tile)
-			work := nc.state.Process(nc, si, sti, tile, nc.Start, nc.Count, buf)
-			nc.compute(work)
+			nc.process(si, sti, tile, nc.Start, nc.Count, buf)
 		} else if st.Prefetch && nc.mode != ModeInstrument {
 			nc.runChunksPrefetch(si, sti, tile, s, st, v, layout)
 		} else if st.Prefetch {
@@ -213,8 +210,7 @@ func (nc *NodeCtx) runChunksSync(si, sti, tile int, s *program.Section, st *prog
 		off := g.tileOffset + int64(rowStart)*g.stream.StripBytes
 		bytes := int(int64(rows) * g.stream.StripBytes)
 		buf := nc.R.FileRead(v.Name, int(off), bytes)
-		work := nc.state.Process(nc, si, sti, tile, nc.Start+rowStart, rows, buf)
-		nc.compute(work)
+		nc.process(si, sti, tile, nc.Start+rowStart, rows, buf)
 		if !v.ReadOnly {
 			nc.R.FileWrite(v.Name, int(off), buf)
 		}
@@ -242,16 +238,14 @@ func (nc *NodeCtx) runChunksPrefetch(si, sti, tile int, s *program.Section, st *
 	for c := 1; c < nChunks; c++ {
 		off, rows := chunk(c)
 		tag := nc.R.FilePrefetchIssue(v.Name, int(off), int(int64(rows)*g.stream.StripBytes))
-		work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
-		nc.compute(work)
+		nc.process(si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
 		cur := nc.R.FilePrefetchWait(v.Name, tag)
 		if !v.ReadOnly {
 			nc.R.FileWrite(v.Name, int(prevOff), prev)
 		}
 		prev, prevOff, prevRows, prevRowStart = cur, off, rows, c*g.stream.ChunkElems
 	}
-	work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
-	nc.compute(work)
+	nc.process(si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
 	if !v.ReadOnly {
 		nc.R.FileWrite(v.Name, int(prevOff), prev)
 	}
@@ -279,8 +273,7 @@ func (nc *NodeCtx) runChunksPrefetchInstrumented(si, sti, tile int, s *program.S
 		off, rows := chunk(c)
 		tag := nc.R.FilePrefetchIssue(v.Name, int(off), int(int64(rows)*g.stream.StripBytes))
 		t0 := nc.R.Now()
-		work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
-		nc.compute(work)
+		nc.process(si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
 		tov := nc.R.Clock().Since(t0)
 		nc.rec.RecordOverlap(si, tile, sti, v.Name, tov, prevRows)
 		cur := nc.R.FilePrefetchWait(v.Name, tag)
@@ -289,10 +282,75 @@ func (nc *NodeCtx) runChunksPrefetchInstrumented(si, sti, tile int, s *program.S
 		}
 		prev, prevOff, prevRows, prevRowStart = cur, off, rows, c*g.stream.ChunkElems
 	}
-	work := nc.state.Process(nc, si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
-	nc.compute(work)
+	nc.process(si, sti, tile, nc.Start+prevRowStart, prevRows, prev)
 	if !v.ReadOnly {
 		nc.R.FileWrite(v.Name, int(prevOff), prev)
+	}
+}
+
+// process charges the work of rows [gRow, gRow+nRows) of a stage and, in
+// numerics runs, computes them over buf. Both planes take this one path,
+// so a timing-only run issues exactly the numerics run's clock charges.
+func (nc *NodeCtx) process(si, sti, tile, gRow, nRows int, buf []byte) {
+	work := nc.state.Work(nc, si, sti, tile, gRow, nRows, len(buf))
+	if nc.env.opts.Numerics {
+		nc.state.Process(nc, si, sti, tile, gRow, nRows, buf)
+	}
+	nc.compute(work)
+}
+
+// boundaryMsg is the payload sent to the neighbour in direction dir: the
+// application's in numerics runs, checked against the declared size, and
+// shared zeros of that size otherwise.
+func (nc *NodeCtx) boundaryMsg(si, tile, dir int) []byte {
+	want := nc.Prog.Sections[si].MsgBytesPerNeighbor
+	if !nc.env.opts.Numerics {
+		return nc.env.zeroMsg[:want]
+	}
+	msg := nc.state.BoundaryMsg(nc, si, tile, dir)
+	if int64(len(msg)) != want {
+		nc.fail(fmt.Errorf("exec: program %q section %d: rank %d sent a %d-byte boundary message, the IR declares MsgBytesPerNeighbor %d",
+			nc.Prog.Name, si, nc.R.Rank(), len(msg), want))
+	}
+	return msg
+}
+
+// onBoundary delivers a received boundary payload (numerics runs only).
+func (nc *NodeCtx) onBoundary(si, tile, dir int, data []byte) {
+	if nc.env.opts.Numerics {
+		nc.state.OnBoundary(nc, si, tile, dir, data)
+	}
+}
+
+// reduceVal is this rank's reduction contribution: the application's in
+// numerics runs, checked against the declared ReduceBytes, and shared
+// zeros of that size otherwise.
+func (nc *NodeCtx) reduceVal(si int) []float64 {
+	want := nc.Prog.Sections[si].ReduceBytes
+	if !nc.env.opts.Numerics {
+		return nc.env.zeroVals[:want/8]
+	}
+	vals := nc.state.ReduceVal(nc, si)
+	if 8*int64(len(vals)) != want {
+		nc.fail(fmt.Errorf("exec: program %q section %d: rank %d contributed %d reduction values (%d bytes), the IR declares ReduceBytes %d",
+			nc.Prog.Name, si, nc.R.Rank(), len(vals), 8*len(vals), want))
+	}
+	return vals
+}
+
+// onReduce delivers a reduction result (numerics runs only).
+func (nc *NodeCtx) onReduce(si int, vals []float64) {
+	if nc.env.opts.Numerics {
+		nc.state.OnReduce(nc, si, vals)
+	}
+}
+
+// fail records the rank's first contract violation; Run reports it once
+// every rank has finished. The run itself carries on unchanged, so a
+// violation cannot deadlock either engine.
+func (nc *NodeCtx) fail(err error) {
+	if p := nc.R.Rank(); nc.env.errs[p] == nil {
+		nc.env.errs[p] = err
 	}
 }
 

@@ -132,18 +132,19 @@ func MicroBenchNet(w *mpi.World, reps int) core.NetParams {
 // MicroBenchDisk measures each node's seek overheads Or and Ow — "they
 // are measured and output as node-specific data" (§4.1.1) — and the
 // prefetch issue overhead To, using timed reads and writes of a scratch
-// extent at two sizes.
+// extent at two sizes. Only the timings matter, so the scratch extent is
+// size-only and every rank writes from one shared buffer.
 func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 	if reps < 1 {
 		reps = 1
 	}
 	cals := make([]core.DiskCal, w.Size())
+	buf := make([]byte, diskSizeLarge)
 	w.Run(func(r *mpi.Rank) {
 		const scratch = "__mheta_scratch__"
-		r.Disk().Create(scratch, diskSizeLarge)
+		r.Disk().Reserve(scratch, diskSizeLarge)
 		readAvg := make(map[int]float64, 2)
 		writeAvg := make(map[int]float64, 2)
-		buf := make([]byte, diskSizeLarge)
 		for _, size := range []int{diskSizeSmall, diskSizeLarge} {
 			var rSum, wSum float64
 			for rep := 0; rep < reps; rep++ {

@@ -413,11 +413,11 @@ func TestRNAPrefetchPipelined(t *testing.T) {
 	cfgSync := cfg
 	cfgSync.Prefetch = false
 	wS := mpi.NewWorld(spec, 1, 0)
-	if _, err := exec.Run(wS, apps.NewRNA(cfgSync), d, exec.Options{}); err != nil {
+	if _, err := exec.Run(wS, apps.NewRNA(cfgSync), d, exec.Options{Numerics: true}); err != nil {
 		t.Fatal(err)
 	}
 	wP := mpi.NewWorld(spec, 1, 0)
-	if _, err := exec.Run(wP, apps.NewRNA(cfg), d, exec.Options{}); err != nil {
+	if _, err := exec.Run(wP, apps.NewRNA(cfg), d, exec.Options{Numerics: true}); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 8; p++ {
@@ -497,11 +497,12 @@ func (s *flatState) Init(nc *exec.NodeCtx) {
 		nc.R.Disk().Store("V", make([]byte, nc.Count*s.cols*8))
 	}
 }
-func (s *flatState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) float64 {
+func (s *flatState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
 	return float64(nRows * s.cols)
 }
+func (s *flatState) Process(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows int, buf []byte) {}
 func (s *flatState) BoundaryMsg(nc *exec.NodeCtx, sec, tile, dir int) []byte {
-	return make([]byte, s.cols*8)
+	return make([]byte, nc.Prog.Sections[sec].MsgBytesPerNeighbor)
 }
 func (s *flatState) OnBoundary(nc *exec.NodeCtx, sec, tile, dir int, data []byte) {}
 func (s *flatState) ReduceVal(nc *exec.NodeCtx, sec int) []float64                { return []float64{1} }

@@ -395,7 +395,7 @@ func TestFileOpsThroughRank(t *testing.T) {
 		if r.Rank() != 0 {
 			return
 		}
-		r.Disk().Create("v", 256)
+		r.Disk().Store("v", make([]byte, 256))
 		r.FileWrite("v", 8, []byte{1, 2, 3})
 		got = r.FileRead("v", 8, 3)
 		tag := r.FilePrefetchIssue("v", 0, 64)

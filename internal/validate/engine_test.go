@@ -42,23 +42,29 @@ type engineRun struct {
 // profiler slot belongs to MPI-Jack there).
 func runOne(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution, seed uint64, eng exec.Engine, mode exec.Mode) engineRun {
 	t.Helper()
+	return runOpts(t, spec, app, d, seed, exec.Options{Mode: mode, Engine: eng}, mode == exec.ModeRun)
+}
+
+// runOpts executes (spec, app, d) on a fresh world with opts, collecting a
+// trace when traced is set.
+func runOpts(t *testing.T, spec cluster.Spec, app *exec.App, d dist.Distribution, seed uint64, opts exec.Options, traced bool) engineRun {
+	t.Helper()
 	w := mpi.NewWorld(spec, seed, Noise)
-	opts := exec.Options{Mode: mode, Engine: eng}
 	var tr *trace.Trace
-	if mode == exec.ModeRun {
+	if traced {
 		tr = trace.New()
 		opts.Trace = tr
 	}
 	res, err := exec.Run(w, app, d, opts)
 	if err != nil {
-		t.Fatalf("engine %v: %v", eng, err)
+		t.Fatalf("%+v: %v", opts, err)
 	}
 	run := engineRun{res: res}
 	if tr != nil {
 		run.spans = canonSpans(tr.Spans())
 		var buf bytes.Buffer
 		if err := tr.WriteChrome(&buf); err != nil {
-			t.Fatalf("engine %v: chrome export: %v", eng, err)
+			t.Fatalf("%+v: chrome export: %v", opts, err)
 		}
 		run.chrome = buf.Bytes()
 	}
@@ -99,37 +105,45 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // bit-identical results.
 func assertIdentical(t *testing.T, ev, gr engineRun) {
 	t.Helper()
-	if len(ev.res.NodeTimes) != len(gr.res.NodeTimes) {
-		t.Fatalf("rank count differs: event %d, goroutine %d", len(ev.res.NodeTimes), len(gr.res.NodeTimes))
+	assertSame(t, "event", ev, "goroutine", gr)
+}
+
+// assertSame fails the test unless runs a and b (named na and nb in
+// failures) produced bit-identical clocks, spans, Chrome bytes and
+// recorders.
+func assertSame(t *testing.T, na string, a engineRun, nb string, b engineRun) {
+	t.Helper()
+	if len(a.res.NodeTimes) != len(b.res.NodeTimes) {
+		t.Fatalf("rank count differs: %s %d, %s %d", na, len(a.res.NodeTimes), nb, len(b.res.NodeTimes))
 	}
-	for p := range ev.res.NodeTimes {
-		if !sameBits(ev.res.NodeTimes[p], gr.res.NodeTimes[p]) {
-			t.Errorf("rank %d clock differs: event %.17g, goroutine %.17g", p, ev.res.NodeTimes[p], gr.res.NodeTimes[p])
+	for p := range a.res.NodeTimes {
+		if !sameBits(a.res.NodeTimes[p], b.res.NodeTimes[p]) {
+			t.Errorf("rank %d clock differs: %s %.17g, %s %.17g", p, na, a.res.NodeTimes[p], nb, b.res.NodeTimes[p])
 		}
 	}
-	if !sameBits(ev.res.Time, gr.res.Time) {
-		t.Errorf("Time differs: event %.17g, goroutine %.17g", ev.res.Time, gr.res.Time)
+	if !sameBits(a.res.Time, b.res.Time) {
+		t.Errorf("Time differs: %s %.17g, %s %.17g", na, a.res.Time, nb, b.res.Time)
 	}
-	if !sameBits(ev.res.PerIteration, gr.res.PerIteration) {
-		t.Errorf("PerIteration differs: event %.17g, goroutine %.17g", ev.res.PerIteration, gr.res.PerIteration)
+	if !sameBits(a.res.PerIteration, b.res.PerIteration) {
+		t.Errorf("PerIteration differs: %s %.17g, %s %.17g", na, a.res.PerIteration, nb, b.res.PerIteration)
 	}
-	if len(ev.spans) != len(gr.spans) {
-		t.Fatalf("span count differs: event %d, goroutine %d", len(ev.spans), len(gr.spans))
+	if len(a.spans) != len(b.spans) {
+		t.Fatalf("span count differs: %s %d, %s %d", na, len(a.spans), nb, len(b.spans))
 	}
-	for i := range ev.spans {
-		if ev.spans[i] != gr.spans[i] {
-			t.Fatalf("span %d differs:\n  event:     %+v\n  goroutine: %+v", i, ev.spans[i], gr.spans[i])
+	for i := range a.spans {
+		if a.spans[i] != b.spans[i] {
+			t.Fatalf("span %d differs:\n  %s: %+v\n  %s: %+v", i, na, a.spans[i], nb, b.spans[i])
 		}
 	}
-	if !bytes.Equal(ev.chrome, gr.chrome) {
-		t.Errorf("chrome trace bytes differ (event %d bytes, goroutine %d bytes)", len(ev.chrome), len(gr.chrome))
+	if !bytes.Equal(a.chrome, b.chrome) {
+		t.Errorf("chrome trace bytes differ (%s %d bytes, %s %d bytes)", na, len(a.chrome), nb, len(b.chrome))
 	}
-	if len(ev.res.Recorders) != len(gr.res.Recorders) {
-		t.Fatalf("recorder count differs: event %d, goroutine %d", len(ev.res.Recorders), len(gr.res.Recorders))
+	if len(a.res.Recorders) != len(b.res.Recorders) {
+		t.Fatalf("recorder count differs: %s %d, %s %d", na, len(a.res.Recorders), nb, len(b.res.Recorders))
 	}
-	for p := range ev.res.Recorders {
-		if !reflect.DeepEqual(ev.res.Recorders[p], gr.res.Recorders[p]) {
-			t.Errorf("rank %d recorder differs:\n  event:     %+v\n  goroutine: %+v", p, ev.res.Recorders[p], gr.res.Recorders[p])
+	for p := range a.res.Recorders {
+		if !reflect.DeepEqual(a.res.Recorders[p], b.res.Recorders[p]) {
+			t.Errorf("rank %d recorder differs:\n  %s: %+v\n  %s: %+v", p, na, a.res.Recorders[p], nb, b.res.Recorders[p])
 		}
 	}
 }
