@@ -27,13 +27,16 @@ type serveProc struct {
 	cmd    *exec.Cmd
 	stderr *bytes.Buffer
 	lines  chan string
+	// read is closed once stderr has been read to EOF; Wait closes the
+	// pipe, so stop waits for it first or the last lines can be lost.
+	read chan struct{}
 }
 
 // startServe launches mheta-serve on a free port and waits for its
 // listening line. Stop it with p.stop(t).
 func startServe(t *testing.T, args ...string) *serveProc {
 	t.Helper()
-	p := &serveProc{stderr: &bytes.Buffer{}, lines: make(chan string, 64)}
+	p := &serveProc{stderr: &bytes.Buffer{}, lines: make(chan string, 64), read: make(chan struct{})}
 	p.cmd = exec.Command(filepath.Join(binDir, "mheta-serve"),
 		append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	pipe, err := p.cmd.StderrPipe()
@@ -53,6 +56,7 @@ func startServe(t *testing.T, args ...string) *serveProc {
 			}
 		}
 		close(p.lines)
+		close(p.read)
 	}()
 	deadline := time.After(30 * time.Second)
 	for p.base == "" {
@@ -78,6 +82,7 @@ func (p *serveProc) stop(t *testing.T) {
 	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
+	<-p.read
 	if err := p.cmd.Wait(); err != nil {
 		t.Fatalf("mheta-serve exit: %v\n%s", err, p.stderr)
 	}
