@@ -9,6 +9,9 @@ package dist
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"mheta/internal/cluster"
 )
@@ -225,15 +228,17 @@ func InCoreBalanced(total int, spec cluster.Spec, bytesPerElem int64) Distributi
 // Proportional splits total into len(weights) blocks proportional to the
 // weights using largest-remainder rounding, so the result sums exactly to
 // total. Zero or negative weights receive zero elements (unless all
-// weights are non-positive, which panics).
+// weights are non-positive, which panics). A NaN or infinite weight, or
+// finite weights whose sum overflows, also panics.
 func Proportional(total int, weights []float64) Distribution {
 	return ProportionalInto(nil, total, weights)
 }
 
 // ProportionalInto is Proportional writing into dst's backing array when
-// its capacity suffices (dst may be nil). It performs no allocations on
-// the reuse path, which is what lets the search inner loops generate
-// candidate distributions at full speed.
+// its capacity suffices (dst may be nil). With capacity available it
+// allocates nothing up to 64 weights and exactly one rounding scratch
+// beyond, which is what lets the search inner loops generate candidate
+// distributions at full speed.
 func ProportionalInto(dst Distribution, total int, weights []float64) Distribution {
 	n := len(weights)
 	if n == 0 {
@@ -241,6 +246,9 @@ func ProportionalInto(dst Distribution, total int, weights []float64) Distributi
 	}
 	var wsum float64
 	for _, w := range weights {
+		if w-w != 0 { // NaN or ±Inf
+			panic("dist: Proportional with a non-finite weight")
+		}
 		if w > 0 {
 			wsum += w
 		}
@@ -248,42 +256,51 @@ func ProportionalInto(dst Distribution, total int, weights []float64) Distributi
 	if wsum <= 0 {
 		panic("dist: Proportional with no positive weights")
 	}
+	if math.IsInf(wsum, 1) {
+		panic("dist: Proportional weights sum overflows")
+	}
 	return largestRemainder(dst, total, wsum, weights)
 }
 
 // largestRemainder fills dst (resized to len(ws), reusing capacity) with
 // the largest-remainder rounding of total split proportionally to ws[i],
 // normalised by wsum (the precomputed sum of positive weights). ws is not
-// modified; the fractional parts go to a stack buffer sized in tiers (16,
-// then 64, heap beyond) so the common small-cluster case zeroes only 128
-// bytes of frame.
+// modified. The fractional parts and their selection copy share one
+// scratch of 2·len(ws) floats, on the stack in tiers (16 then 64 nodes)
+// so the common small-cluster case zeroes only 256 bytes of frame, and
+// one heap allocation beyond 64 nodes.
 func largestRemainder(dst Distribution, total int, wsum float64, ws []float64) Distribution {
 	n := len(ws)
-	var fracs []float64
+	var scratch []float64
 	if n <= 16 {
-		var small [16]float64
-		fracs = small[:n]
+		var small [32]float64
+		scratch = small[:2*n]
 	} else if n <= 64 {
-		var big [64]float64
-		fracs = big[:n]
+		var big [128]float64
+		scratch = big[:2*n]
 	} else {
-		fracs = make([]float64, n)
+		scratch = make([]float64, 2*n)
 	}
-	return largestRemainderInto(dst, total, wsum, ws, fracs)
+	return largestRemainderInto(dst, total, wsum, ws, scratch[:n], scratch[n:])
 }
 
-// largestRemainderInto is largestRemainder with a caller-provided
-// fractional-parts buffer (len(fracs) must equal len(ws)). fracs may
-// alias ws exactly — each slot is read as a weight before it is rewritten
-// as a fraction — which is how LerpInto rounds without any second buffer.
-// Entries that received their extra element are marked frac = −1, which
-// preserves the selection order of the recompute formulation exactly:
-// first strict maximum wins, ties break toward lower index, marked
-// entries (−1) lose to every live candidate (≥ 0). Each weight is read
-// once instead of once per leftover pass, which matters because LerpInto
-// sits in the GBS probe loop. Zero allocations when dst capacity
-// suffices.
-func largestRemainderInto(dst Distribution, total int, wsum float64, ws, fracs []float64) Distribution {
+// largestRemainderInto is largestRemainder with caller-provided scratch:
+// fracs receives the fractional parts and sel a copy of them for the
+// selection to reorder (both len(ws)). fracs may alias ws exactly — each
+// slot is read as a weight before it is rewritten as a fraction — which
+// is how LerpInto rounds inside its own weight buffer; sel must not alias
+// either.
+//
+// The k = total − Σfloor leftover elements go one each to the k largest
+// fractional parts, ties broken toward lower index; nodes with w ≤ 0 stay
+// last-resort candidates with fraction 0. The k-th largest fraction thr
+// is found by selection on sel, then every node with frac > thr gets +1
+// and the lowest-index nodes with frac == thr take the rest: exactly the
+// set that handing out one element per first-maximum scan picks (the
+// quadratic reference the tests keep). If k ≥ n every node gets +1 and
+// node 0 the remaining k − n, which is where that scan lands once every
+// node has been picked. Zero allocations when dst capacity suffices.
+func largestRemainderInto(dst Distribution, total int, wsum float64, ws, fracs, sel []float64) Distribution {
 	n := len(ws)
 	if cap(dst) >= n {
 		dst = dst[:n]
@@ -295,29 +312,100 @@ func largestRemainderInto(dst Distribution, total int, wsum float64, ws, fracs [
 		w := ws[i]
 		if w <= 0 {
 			dst[i] = 0
-			fracs[i] = 0 // still a (last-resort) candidate, as before
+			fracs[i], sel[i] = 0, 0 // still a (last-resort) candidate
 			continue
 		}
 		exact := float64(total) * w / wsum
 		floor := int(exact)
 		dst[i] = floor
 		fracs[i] = exact - float64(floor)
+		sel[i] = fracs[i]
 		assigned += floor
 	}
-	// Hand the leftover elements to the largest fractional parts; ties
-	// break toward lower index for determinism.
-	for assigned < total {
-		best, bestFrac := 0, fracs[0]
-		for i := 1; i < n; i++ {
-			if fracs[i] > bestFrac {
-				best, bestFrac = i, fracs[i]
-			}
+	k := total - assigned
+	switch {
+	case k <= 0:
+		return dst
+	case k >= n:
+		for i := range dst {
+			dst[i]++
 		}
-		fracs[best] = -1
-		dst[best]++
-		assigned++
+		dst[0] += k - n
+		return dst
+	}
+	thr, above := selectRank(sel, n-k, 2*bits.Len(uint(n)))
+	ties := k - above
+	for i, f := range fracs {
+		if f > thr {
+			dst[i]++
+		} else if f == thr && ties > 0 {
+			dst[i]++
+			ties--
+		}
 	}
 	return dst
+}
+
+// selectRank reorders s (no NaNs) so that the element of ascending rank
+// r (0-based) sits at s[r], and returns it with the number of elements
+// of s strictly greater than it. It is a three-way-partition quickselect
+// with a median-of-three pivot, so tie-heavy inputs stay linear; after
+// limit partitions without converging it sorts the remaining range, so
+// a limit of O(log n) bounds the worst case at O(n log n).
+func selectRank(s []float64, r, limit int) (v float64, above int) {
+	lo, hi := 0, len(s)
+	for ; hi-lo > 1; limit-- {
+		if limit == 0 {
+			slices.Sort(s[lo:hi])
+			break
+		}
+		p := median3(s[lo], s[lo+(hi-lo)/2], s[hi-1])
+		// Invariant: s[lo:lt] < p, s[lt:i] == p, s[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := s[i]; {
+			case x < p:
+				s[i], s[lt] = s[lt], x
+				lt++
+				i++
+			case x > p:
+				gt--
+				s[i], s[gt] = s[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case r < lt:
+			hi = lt
+		case r >= gt:
+			lo = gt
+		default:
+			// Everything at or beyond gt exceeds p: the partitions above
+			// hi were split off as strictly greater than this range.
+			return p, len(s) - gt
+		}
+	}
+	v = s[r]
+	j := r + 1
+	for j < hi && s[j] == v {
+		j++
+	}
+	return v, len(s) - j
+}
+
+// median3 returns the median of a, b and c.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // capRepair shifts elements from over-capacity nodes to nodes with

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"math"
 	"testing"
 
 	"mheta/internal/vclock"
@@ -53,126 +52,5 @@ func TestHashZeroAlloc(t *testing.T) {
 	d := Block(100000, 16)
 	if allocs := testing.AllocsPerRun(200, func() { _ = d.Hash() }); allocs != 0 {
 		t.Fatalf("Hash allocates %v/op, want 0", allocs)
-	}
-}
-
-// refProportional is the pre-Into implementation (explicit fracs array),
-// kept as a differential oracle for the allocation-free rewrite.
-func refProportional(total int, weights []float64) Distribution {
-	n := len(weights)
-	d := make(Distribution, n)
-	var wsum float64
-	for _, w := range weights {
-		if w > 0 {
-			wsum += w
-		}
-	}
-	if wsum == 0 {
-		panic("dist: Proportional with no positive weight")
-	}
-	fracs := make([]float64, n)
-	assigned := 0
-	for i, w := range weights {
-		if w <= 0 {
-			fracs[i] = -1
-			continue
-		}
-		exact := float64(total) * w / wsum
-		d[i] = int(math.Floor(exact))
-		fracs[i] = exact - math.Floor(exact)
-		assigned += d[i]
-	}
-	for rem := total - assigned; rem > 0; rem-- {
-		best := -1
-		for i, f := range fracs {
-			if f >= 0 && (best == -1 || f > fracs[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			best = 0
-		}
-		d[best]++
-		fracs[best] = -1
-	}
-	return d
-}
-
-func TestProportionalIntoMatchesReference(t *testing.T) {
-	nz := vclock.NewNoise(7, 0)
-	dst := make(Distribution, 0, 16)
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + int(nz.Float64()*12)
-		weights := make([]float64, n)
-		positive := false
-		for i := range weights {
-			switch {
-			case nz.Float64() < 0.2:
-				weights[i] = 0
-			case nz.Float64() < 0.1:
-				weights[i] = -nz.Float64()
-			default:
-				weights[i] = nz.Float64() * 100
-				positive = true
-			}
-		}
-		if !positive {
-			weights[0] = 1
-		}
-		total := int(nz.Float64() * 5000)
-		want := refProportional(total, weights)
-		dst = ProportionalInto(dst, total, weights)
-		if !dst.Equal(want) {
-			t.Fatalf("trial %d: ProportionalInto(%d, %v) = %v, reference = %v",
-				trial, total, weights, dst, want)
-		}
-		if got := Proportional(total, weights); !got.Equal(want) {
-			t.Fatalf("trial %d: Proportional diverged: %v vs %v", trial, got, want)
-		}
-	}
-}
-
-func TestLerpIntoMatchesLerp(t *testing.T) {
-	nz := vclock.NewNoise(13, 0)
-	dst := make(Distribution, 0, 8)
-	for trial := 0; trial < 500; trial++ {
-		const total, n = 900, 8
-		a := make(Distribution, n)
-		b := make(Distribution, n)
-		remA, remB := total, total
-		for j := 0; j < n-1; j++ {
-			a[j] = int(nz.Float64() * float64(remA) / 2)
-			b[j] = int(nz.Float64() * float64(remB) / 2)
-			remA -= a[j]
-			remB -= b[j]
-		}
-		a[n-1], b[n-1] = remA, remB
-		for _, tt := range []float64{-0.5, 0, 0.25, 1 / 3.0, 0.5, 0.99, 1, 2} {
-			want := Lerp(a, b, tt)
-			dst = LerpInto(dst, a, b, tt)
-			if !dst.Equal(want) {
-				t.Fatalf("trial %d t=%v: LerpInto = %v, Lerp = %v", trial, tt, dst, want)
-			}
-			if err := dst.Validate(total); err != nil {
-				t.Fatalf("trial %d t=%v: %v", trial, tt, err)
-			}
-		}
-	}
-}
-
-func TestIntoVariantsReuseWithoutAllocating(t *testing.T) {
-	weights := []float64{3, 0, 1, 5, 2, 0.5, 4, 1}
-	a := Block(1000, 8)
-	b := Proportional(1000, weights)
-	dst := make(Distribution, 8)
-	if allocs := testing.AllocsPerRun(200, func() {
-		dst = ProportionalInto(dst, 1000, weights)
-	}); allocs != 0 {
-		t.Fatalf("ProportionalInto allocates %v/op with capacity available, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		dst = LerpInto(dst, a, b, 0.37)
-	}); allocs != 0 {
-		t.Fatalf("LerpInto allocates %v/op with capacity available, want 0", allocs)
 	}
 }

@@ -121,9 +121,10 @@ func Lerp(a, b Distribution, t float64) Distribution {
 
 // LerpInto is Lerp writing into dst's backing array when its capacity
 // suffices (dst may be nil). The interpolated weights are computed once
-// into a fixed stack buffer (heap only beyond 64 nodes), so the reuse
-// path allocates nothing — this is what the GBS inner loop calls per
-// probe.
+// into a scratch that also holds the rounding's selection copy, on the
+// stack up to 64 nodes and one heap allocation beyond, so the reuse path
+// of the paper-scale clusters allocates nothing — this is what the GBS
+// inner loop calls per probe.
 func LerpInto(dst Distribution, a, b Distribution, t float64) Distribution {
 	if len(a) != len(b) {
 		panic("dist: Lerp length mismatch")
@@ -136,20 +137,21 @@ func LerpInto(dst Distribution, a, b Distribution, t float64) Distribution {
 	}
 	// A node with zero in both anchors has weight 0 and correctly receives
 	// nothing; no epsilon needed. If every weight is zero (total==0),
-	// return a copy of a. The weight buffer is tiered like
-	// largestRemainder's and doubles as the rounding's fraction buffer
-	// (largestRemainderInto allows exact aliasing), so a probe zeroes one
-	// small stack array and allocates nothing.
-	var ws []float64
-	if n := len(a); n <= 16 {
-		var small [16]float64
-		ws = small[:n]
+	// return a copy of a. The scratch is tiered like largestRemainder's;
+	// its weight half doubles as the rounding's fraction buffer
+	// (largestRemainderInto allows exact aliasing).
+	n := len(a)
+	var scratch []float64
+	if n <= 16 {
+		var small [32]float64
+		scratch = small[:2*n]
 	} else if n <= 64 {
-		var big [64]float64
-		ws = big[:n]
+		var big [128]float64
+		scratch = big[:2*n]
 	} else {
-		ws = make([]float64, n)
+		scratch = make([]float64, 2*n)
 	}
+	ws := scratch[:n]
 	var wsum float64
 	for i := range a {
 		w := (1-t)*float64(a[i]) + t*float64(b[i])
@@ -161,7 +163,7 @@ func LerpInto(dst Distribution, a, b Distribution, t float64) Distribution {
 	if wsum <= 0 {
 		return copyInto(dst, a)
 	}
-	return largestRemainderInto(dst, a.Total(), wsum, ws, ws)
+	return largestRemainderInto(dst, a.Total(), wsum, ws, ws, scratch[n:])
 }
 
 // copyInto copies src into dst, reusing dst's capacity when possible.

@@ -92,48 +92,24 @@ type Searcher interface {
 	Name() string
 }
 
-// repair adjusts d (non-negative per-node blocks) to sum to total,
-// spreading the correction across nodes proportionally to current sizes.
-// It is used by the stochastic operators, whose raw offspring may be off
-// by a few elements.
-func repair(d dist.Distribution, total int) dist.Distribution {
-	for i, b := range d {
-		if b < 0 {
-			d[i] = 0
-		}
-	}
-	sum := d.Total()
-	switch {
-	case sum == total:
-		return d
-	case sum == 0:
-		copy(d, dist.Block(total, len(d)))
-		return d
-	}
-	weights := make([]float64, len(d))
-	for i, b := range d {
-		weights[i] = float64(b)
-	}
-	copy(d, dist.Proportional(total, weights))
-	return d
-}
-
 // randomDist draws a random GEN_BLOCK distribution: weights from a noise
 // stream, largest-remainder rounding. With probability zeroP each node is
 // excluded (weight 0), letting the search consider leaving weak nodes
-// idle.
-func randomDist(nz *vclock.Noise, n, total int, zeroP float64) dist.Distribution {
-	weights := make([]float64, n)
+// idle. weights is the caller's per-search scratch; its length is the
+// node count and it is overwritten. The returned distribution is freshly
+// allocated, since searchers retain their candidates.
+func randomDist(nz *vclock.Noise, weights []float64, total int, zeroP float64) dist.Distribution {
 	positive := false
 	for i := range weights {
 		if nz.Float64() < zeroP {
+			weights[i] = 0
 			continue
 		}
 		weights[i] = 0.05 + nz.Float64()
 		positive = true
 	}
 	if !positive {
-		weights[nz.Intn(n)] = 1
+		weights[nz.Intn(len(weights))] = 1
 	}
 	return dist.Proportional(total, weights)
 }

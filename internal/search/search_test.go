@@ -160,24 +160,6 @@ func TestCountingEvaluator(t *testing.T) {
 	}
 }
 
-func TestRepairProperty(t *testing.T) {
-	f := func(raw []int16, totRaw uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		total := int(totRaw)%5000 + 1
-		d := make(dist.Distribution, len(raw))
-		for i, r := range raw {
-			d[i] = int(r) // may be negative
-		}
-		got := repair(d, total)
-		return got.Validate(total) == nil
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMutatePreservesTotal(t *testing.T) {
 	nz := vclock.NewNoise(1, 0)
 	f := func(raw []uint8) bool {
@@ -206,11 +188,24 @@ func TestRandomDistValidProperty(t *testing.T) {
 	f := func(nRaw, totRaw uint8) bool {
 		n := int(nRaw)%12 + 1
 		total := int(totRaw) + 1
-		d := randomDist(nz, n, total, 0.2)
+		d := randomDist(nz, make([]float64, n), total, 0.2)
 		return len(d) == n && d.Validate(total) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomDistScratchReuse pins that a reused, dirty weights scratch
+// draws exactly what a fresh one does from the same noise stream.
+func TestRandomDistScratchReuse(t *testing.T) {
+	fresh, reused := vclock.NewNoise(5, 0), vclock.NewNoise(5, 0)
+	weights := make([]float64, 40)
+	for i := 0; i < 200; i++ {
+		want := randomDist(fresh, make([]float64, 40), 300, 0.3)
+		if got := randomDist(reused, weights, 300, 0.3); !got.Equal(want) {
+			t.Fatalf("draw %d: reused scratch gave %v, fresh %v", i, got, want)
+		}
 	}
 }
 

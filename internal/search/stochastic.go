@@ -43,6 +43,7 @@ func (r *Random) Search(ev Evaluator, total int) Result {
 	best := dist.Block(total, n)
 	ds := append(make([]dist.Distribution, 0, randomChunk), best)
 	ts := make([]float64, randomChunk)
+	weights := make([]float64, n)
 	cev.Evaluate(ts[:1], nil, ds)
 	bestT := ts[0]
 	sBest.Append(0, bestT)
@@ -53,7 +54,7 @@ func (r *Random) Search(ev Evaluator, total int) Result {
 		}
 		ds = ds[:0]
 		for i := 0; i < k; i++ {
-			ds = append(ds, randomDist(nz, n, total, 0.1))
+			ds = append(ds, randomDist(nz, weights, total, 0.1))
 		}
 		cev.Evaluate(ts[:k], best, ds)
 		for i := 0; i < k; i++ {
@@ -110,10 +111,11 @@ func (g *Genetic) Search(ev Evaluator, total int) Result {
 	sBest := g.Obs.Series("search.genetic.best")
 	nz := vclock.NewNoise(g.Seed^0x6E7E, 0)
 
+	weights := make([]float64, g.N)
 	cur := make([]scored, 0, pop)
 	cur = append(cur, scored{dist.Block(total, g.N), 0})
 	for len(cur) < pop {
-		cur = append(cur, scored{randomDist(nz, g.N, total, 0.1), 0})
+		cur = append(cur, scored{randomDist(nz, weights, total, 0.1), 0})
 	}
 	ds := make([]dist.Distribution, pop)
 	ts := make([]float64, pop)
@@ -134,7 +136,6 @@ func (g *Genetic) Search(ev Evaluator, total int) Result {
 		}
 		return cur[b].d
 	}
-	weights := make([]float64, g.N)
 	for gen := 0; gen < gens; gen++ {
 		// Breed the generation's offspring serially, then score them in
 		// one batch. Elitism: the two best carry forward unchanged.
@@ -147,8 +148,8 @@ func (g *Genetic) Search(ev Evaluator, total int) Result {
 			}
 			// Largest-remainder rounding, exactly as dist.Proportional:
 			// per-node truncation would always round toward zero and leave
-			// a deficit for repair to redistribute, systematically biasing
-			// offspring away from their parents' mix.
+			// a deficit to redistribute, systematically biasing offspring
+			// away from their parents' mix.
 			child := make(dist.Distribution, g.N)
 			if total > 0 {
 				child = dist.ProportionalInto(child, total, weights)
