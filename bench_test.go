@@ -693,7 +693,7 @@ func BenchmarkEmulate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var st sched.Stats
 				w := mpi.NewWorld(spec, 777, 0.02)
-				if _, err := exec.Run(w, app, d, exec.Options{Engine: exec.EngineEvent, EventStats: &st}); err != nil {
+				if _, err := exec.Run(w, app, d, exec.Options{EventStats: &st}); err != nil {
 					b.Fatal(err)
 				}
 				events += st.Events + st.Sends

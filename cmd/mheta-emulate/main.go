@@ -44,16 +44,10 @@ func main() {
 	gantt := flag.Int("gantt", 0, "render a per-rank timeline of this width after a single run (0 disables)")
 	traceOut := flag.String("trace-out", "", "write the single run's timeline as Chrome trace-event JSON to this file (view in Perfetto)")
 	seed := flag.Uint64("seed", 42, "noise seed")
-	engineStr := flag.String("engine", "event", "emulation engine: event (scales to 10k+ ranks) or goroutine (reference core)")
 	obsFlags := cliutil.RegisterObsFlags()
 	flag.Parse()
 
 	scale := cliutil.ParseScale(*scaleFlag)
-	engine, err := exec.ParseEngine(*engineStr)
-	if err != nil {
-		cliutil.Usagef("-engine: %v", err)
-	}
-	exec.SetDefaultEngine(engine)
 	if *traceOut != "" && *spectrum > 0 {
 		cliutil.Usagef("-trace-out traces a single run; drop -spectrum")
 	}

@@ -11,11 +11,4 @@ package leakcheck
 // Only functions whose blocking is NOT visible from their signature
 // belong here — a callee that takes a context.Context is already
 // recognized structurally. Keep entries sorted by key.
-var ExternalBlocking = map[string]string{
-	// Recv parks the calling goroutine until a matching Send from the
-	// peer rank arrives; there is no timeout in the emulated transport,
-	// so a missing sender blocks it forever.
-	"(*mheta/internal/mpi.Rank).Recv": "blocks until the peer rank sends a matching message",
-	// Sendrecv is a Send followed by a blocking Recv.
-	"(*mheta/internal/mpi.Rank).Sendrecv": "blocks until the peer rank sends a matching message",
-}
+var ExternalBlocking = map[string]string{}

@@ -1,27 +1,22 @@
 package exec
 
-// The event engine: every rank is an explicit state machine interpreted
-// by a single driver goroutine that dispatches from internal/sched's
-// event heap (DESIGN.md §5.13).
+// The section skeleton: every rank is an explicit state machine that
+// mpi.World.Run resumes from the world's event heap (DESIGN.md §5.13).
 //
 // The machine's program counter marks exactly the points where a rank
-// can block on another rank — the receive sites of iteration.go plus
-// the collectives — and nothing else. All other work (tiles, stages,
-// chunk loops, prefetch waits, sends) is rank-local in this runtime, so
-// the interpreter reuses iteration.go's own methods verbatim for those
-// segments; the only re-derived control flow is the skeleton around the
-// park points, kept line-for-line parallel with runIteration /
-// runPipelineSection / runEndComm. That is the equivalence argument:
-// identical per-rank op order + identical message matching ⇒ identical
-// clocks, traces, and recorders, whatever order the heap dispatches
-// ranks in.
+// can wait on another rank — the pipeline and nearest-neighbour
+// receives, plus the collectives — and nothing else. All other work
+// (tiles, stages, chunk loops, prefetch waits, sends) is rank-local in
+// this runtime and runs straight through iteration.go's methods. Per-rank
+// op order is fixed by this program and message matching is FIFO per
+// link, so clocks, traces, and recorders do not depend on the order in
+// which the heap dispatches ranks.
 
 import (
 	"fmt"
 
 	"mheta/internal/mpi"
 	"mheta/internal/program"
-	"mheta/internal/sched"
 	"mheta/internal/trace"
 	"mheta/internal/vclock"
 )
@@ -60,59 +55,31 @@ type evRank struct {
 	recv    *mpi.RecvOp
 }
 
-// runEvent drives all ranks from one scheduler until every rank
+// runEvent drives all ranks through World.Run until every rank
 // finishes. Every rank starts ready at virtual time zero (clocks were
-// just reset), exactly where the goroutine engine spawns them.
+// just reset).
 func (env *runEnv) runEvent() error {
-	n := env.w.Size()
-	s := sched.New(n)
 	env.w.ResetClocks()
-	env.w.BindScheduler(s)
-	defer env.w.UnbindScheduler()
-
-	machines := make([]*evRank, n)
-	for p := 0; p < n; p++ {
-		machines[p] = &evRank{env: env, r: env.w.Rank(p)}
-		s.Ready(p, 0)
+	machines := make([]evRank, env.w.Size())
+	for p := range machines {
+		machines[p] = evRank{env: env, r: env.w.Rank(p)}
 	}
-	remaining := n
-	for remaining > 0 {
-		p, ok := s.Next()
-		if !ok {
-			// Unreachable for well-formed programs: matching is
-			// deterministic and the goroutine core would deadlock the Go
-			// runtime on the same input. Report instead of hanging.
-			return fmt.Errorf("exec: event engine deadlock with %d ranks unfinished: %s", remaining, s.DumpState())
-		}
-		if stepRank(machines[p]) {
-			remaining--
-		}
+	if err := env.w.Run(func(r *mpi.Rank) bool { return machines[r.Rank()].step() }); err != nil {
+		return fmt.Errorf("exec: %w", err)
 	}
 	if env.opts.EventStats != nil {
-		*env.opts.EventStats = s.Stats()
+		*env.opts.EventStats = env.w.Stats()
 	}
 	return nil
 }
 
-// stepRank resumes one rank, converting an application panic into the
-// same "mpi: rank %d panicked" report the goroutine core produces.
-func stepRank(m *evRank) (done bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", m.r.Rank(), p))
-		}
-	}()
-	return m.step()
-}
-
 // step runs the rank forward until it parks (false) or finishes (true).
-// Each case mirrors the corresponding goroutine-core code; comments
-// name the original.
 func (m *evRank) step() bool {
 	for {
 		switch m.pc {
 		case pcSetup:
-			// runGoroutine: setupRank + the aligning barrier.
+			// Rank-local setup, then align all ranks before the measured
+			// region.
 			m.nc = m.env.setupRank(m.r)
 			m.barrier = &mpi.BarrierSM{Tag: 1 << 16}
 			m.pc = pcBarrier
@@ -128,7 +95,9 @@ func (m *evRank) step() bool {
 			m.pc = pcSectionStart
 
 		case pcSectionStart:
-			// runIteration's section loop, flattened across iterations.
+			// The section loop, flattened across iterations: Figure 1's
+			// sections, each with its tiles, stages, and closing
+			// communication.
 			if m.sec >= len(m.nc.Prog.Sections) {
 				m.nc.Iter++
 				if m.nc.Iter >= m.env.iters {
@@ -144,7 +113,9 @@ func (m *evRank) step() bool {
 			m.secStart = m.r.Now()
 			switch s.Comm {
 			case program.CommPipeline:
-				// runPipelineSection: inactive ranks skip the section body.
+				// Pipelined (§4.2.2, the RNA structure): receive the
+				// upstream boundary, process the tile's stages, forward
+				// downstream. Inactive ranks skip the section body.
 				if m.nc.Count == 0 {
 					m.pc = pcSectionEnd
 					continue
@@ -152,8 +123,8 @@ func (m *evRank) step() bool {
 				m.tile = 0
 				m.pc = pcPipeTile
 			default:
-				m.nc.runTiles(m.sec, s) // rank-local: reused verbatim
-				// runEndComm:
+				m.nc.runTiles(m.sec, s)
+				// The section-ending communication.
 				switch s.Comm {
 				case program.CommNone:
 					m.pc = pcSectionEnd
@@ -182,7 +153,7 @@ func (m *evRank) step() bool {
 			}
 
 		case pcPipeTile:
-			// runPipelineSection's tile loop head.
+			// The pipeline's tile loop head.
 			s := &m.nc.Prog.Sections[m.sec]
 			if m.tile >= s.Tiles {
 				m.pc = pcSectionEnd
@@ -247,7 +218,7 @@ func (m *evRank) step() bool {
 			m.pc = pcSectionEnd
 
 		case pcSectionEnd:
-			// runIteration's section epilogue.
+			// The section epilogue.
 			if m.nc.tr != nil {
 				m.nc.tr.Add(trace.Span{
 					Rank:  m.r.Rank(),

@@ -157,15 +157,11 @@ type Options struct {
 	Iterations int
 	// Trace, when non-nil, collects per-rank timelines (sections, I/O,
 	// blocked time). Plain runs only — ModeInstrument owns the profiler
-	// slot for MPI-Jack.
+	// slot for MPI-Jack, and Run rejects a trace there.
 	Trace *trace.Trace
-	// Engine selects the emulation core; EngineAuto uses the package
-	// default (the event engine).
-	Engine Engine
-	// EventStats, when non-nil, receives the scheduler counters after an
-	// event-engine run (dispatches, messages, parks — the events/sec
-	// numerator of the scale benchmarks). Ignored by the goroutine
-	// engine.
+	// EventStats, when non-nil, receives the scheduler counters after
+	// the run (dispatches, messages, parks — the events/sec numerator of
+	// the scale benchmarks).
 	EventStats *sched.Stats
 	// Numerics runs the data plane as well: datasets are materialised on
 	// disk, State.Process computes real values, and messages carry the
@@ -175,8 +171,7 @@ type Options struct {
 	Numerics bool
 }
 
-// runEnv is one run's precomputed, engine-independent setup, shared by
-// both drivers so their per-rank behaviour cannot diverge.
+// runEnv is one run's precomputed setup and per-rank results.
 type runEnv struct {
 	w          *mpi.World
 	app        *App
@@ -204,13 +199,8 @@ func Run(w *mpi.World, app *App, d dist.Distribution, opts Options) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	switch resolveEngine(opts.Engine) {
-	case EngineGoroutine:
-		env.runGoroutine()
-	default:
-		if err := env.runEvent(); err != nil {
-			return Result{}, err
-		}
+	if err := env.runEvent(); err != nil {
+		return Result{}, err
 	}
 	for _, err := range env.errs {
 		if err != nil {
@@ -220,9 +210,9 @@ func Run(w *mpi.World, app *App, d dist.Distribution, opts Options) (Result, err
 	return env.result(), nil
 }
 
-// prepare validates inputs and computes everything both engines share:
-// iteration count, active ranks (with an O(1) per-rank index, not the
-// old O(n) scan per rank), row prefix sums, and shared-disk contention.
+// prepare validates inputs and computes everything the ranks share:
+// iteration count, active ranks (with an O(1) per-rank index, not an
+// O(n) scan per rank), row prefix sums, and shared-disk contention.
 func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv, error) {
 	if err := app.Prog.Validate(); err != nil {
 		return nil, err
@@ -232,6 +222,9 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 	}
 	if err := d.Validate(app.Prog.GlobalElems()); err != nil {
 		return nil, err
+	}
+	if opts.Mode == ModeInstrument && opts.Trace != nil {
+		return nil, fmt.Errorf("exec: Options.Trace is for plain runs; the instrumented iteration's profiler slot belongs to MPI-Jack")
 	}
 	iters := app.Prog.Iterations
 	if opts.Iterations > 0 {
@@ -294,8 +287,8 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 // initialises application state (or, timing only, reserves the dataset's
 // extents), and performs the compulsory in-core loads — everything that
 // happens before the aligning barrier. All of it is rank-local (Init and
-// loadInCore only touch the rank's own clock and disk), so both engines
-// call it identically.
+// loadInCore only touch the rank's own clock and disk), so it never
+// parks.
 func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
 	p := r.Rank()
 	nc := &NodeCtx{
@@ -341,27 +334,7 @@ func (env *runEnv) setupRank(r *mpi.Rank) *NodeCtx {
 	return nc
 }
 
-// runGoroutine is the original core: one goroutine per rank, blocking
-// mailbox receives, host-scheduled.
-func (env *runEnv) runGoroutine() {
-	env.w.ResetClocks()
-	env.w.Run(func(r *mpi.Rank) {
-		p := r.Rank()
-		nc := env.setupRank(r)
-
-		// Align all ranks, then measure the iteration region.
-		r.Barrier(1 << 16)
-		env.starts[p] = float64(r.Now())
-		for it := 0; it < env.iters; it++ {
-			nc.Iter = it
-			nc.runIteration()
-		}
-		env.ends[p] = float64(r.Now())
-		nc.flushInCore()
-	})
-}
-
-// result assembles the Result both engines share.
+// result assembles the run's Result.
 func (env *runEnv) result() Result {
 	n := env.w.Size()
 	res := Result{NodeTimes: make([]float64, n), Recorders: env.recs}

@@ -10,6 +10,8 @@ import (
 	"mheta/internal/exec"
 	"mheta/internal/mpi"
 	"mheta/internal/program"
+	"mheta/internal/sched"
+	"mheta/internal/trace"
 )
 
 func tinyJacobi() (*exec.App, apps.JacobiConfig) {
@@ -398,17 +400,86 @@ func TestNumericsSizeContract(t *testing.T) {
 		{"reduction", func(p *program.Program) { p.Sections[1].ReduceBytes = 16 }, "ReduceBytes"},
 	}
 	for _, c := range cases {
-		for _, eng := range []exec.Engine{exec.EngineEvent, exec.EngineGoroutine} {
-			app, cfg := tinyJacobi()
-			c.edit(app.Prog)
-			d := dist.Block(cfg.Rows, 4)
-			_, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, d, exec.Options{Numerics: true, Engine: eng})
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s/%v: numerics run of a mis-declared app returned %v, want an error naming %s", c.name, eng, err, c.want)
-			}
-			if _, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, d, exec.Options{Engine: eng}); err != nil {
-				t.Errorf("%s/%v: timing-only run: %v", c.name, eng, err)
-			}
+		app, cfg := tinyJacobi()
+		c.edit(app.Prog)
+		d := dist.Block(cfg.Rows, 4)
+		_, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, d, exec.Options{Numerics: true})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: numerics run of a mis-declared app returned %v, want an error naming %s", c.name, err, c.want)
+		}
+		if _, err := exec.Run(mpi.NewWorld(uniformSpec(4, 8<<20), 1, 0), app, d, exec.Options{}); err != nil {
+			t.Errorf("%s: timing-only run: %v", c.name, err)
+		}
+	}
+}
+
+func TestRunRejectsTraceInInstrumentMode(t *testing.T) {
+	// The instrumented iteration's profiler slot belongs to MPI-Jack, so
+	// a trace there would silently stay empty.
+	app, cfg := tinyJacobi()
+	w := mpi.NewWorld(uniformSpec(4, 1<<20), 1, 0)
+	_, err := exec.Run(w, app, dist.Block(cfg.Rows, 4), exec.Options{Mode: exec.ModeInstrument, Trace: trace.New()})
+	if err == nil || !strings.Contains(err.Error(), "Trace") {
+		t.Fatalf("instrumented run with a trace returned %v, want an error naming Trace", err)
+	}
+	tr := trace.New()
+	if _, err := exec.Run(w, app, dist.Block(cfg.Rows, 4), exec.Options{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Spans()) == 0 {
+		t.Fatal("plain traced run collected no spans")
+	}
+}
+
+// panickyState fails in the timing plane on one rank.
+type panickyState struct {
+	exec.State
+	rank int
+}
+
+func (s panickyState) Work(nc *exec.NodeCtx, sec, stg, tile, gRow, nRows, chunkBytes int) float64 {
+	if nc.R.Rank() == s.rank {
+		panic("boom")
+	}
+	return s.State.Work(nc, sec, stg, tile, gRow, nRows, chunkBytes)
+}
+
+func TestRunReportsRankPanic(t *testing.T) {
+	app, cfg := tinyJacobi()
+	newState := app.NewState
+	app.NewState = func(nc *exec.NodeCtx) exec.State { return panickyState{newState(nc), 2} }
+	defer func() {
+		p := recover()
+		if msg, _ := p.(string); !strings.HasPrefix(msg, "mpi: rank 2 panicked: boom") {
+			t.Fatalf("recovered %v, want the driver's report naming rank 2", p)
+		}
+	}()
+	exec.Run(mpi.NewWorld(uniformSpec(4, 1<<20), 1, 0), app, dist.Block(cfg.Rows, 4), exec.Options{})
+	t.Fatal("a panicking rank did not panic the run")
+}
+
+func TestRunTwiceOnOneWorld(t *testing.T) {
+	// Run resets the world's clocks and scheduler, so without noise a
+	// second run on the same world repeats the first exactly.
+	app, cfg := tinyJacobi()
+	w := mpi.NewWorld(uniformSpec(4, 1<<20), 1, 0)
+	var runs [2]struct {
+		res exec.Result
+		st  sched.Stats
+	}
+	for i := range runs {
+		res, err := exec.Run(w, app, dist.Block(cfg.Rows, 4), exec.Options{EventStats: &runs[i].st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i].res = res
+	}
+	if runs[0].st != runs[1].st || runs[0].st.Events == 0 {
+		t.Fatalf("scheduler stats %+v then %+v", runs[0].st, runs[1].st)
+	}
+	for p := range runs[0].res.NodeTimes {
+		if runs[0].res.NodeTimes[p] != runs[1].res.NodeTimes[p] {
+			t.Fatalf("rank %d: %v then %v", p, runs[0].res.NodeTimes[p], runs[1].res.NodeTimes[p])
 		}
 	}
 }

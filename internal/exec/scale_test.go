@@ -1,12 +1,12 @@
 package exec_test
 
-// Scale tests for the event engine: the whole point of replacing
-// goroutine-per-rank with a discrete-event heap (DESIGN.md §5.13) is
-// that a 10,000-rank cluster emulates in seconds. The wall-clock guard
-// here is deliberately loose (the ISSUE's 10 s bound, far above the
+// Scale tests for the event engine: the whole point of driving ranks
+// from a discrete-event heap instead of one goroutine per rank
+// (DESIGN.md §5.13) is that a 10,000-rank cluster emulates in seconds.
+// The wall-clock guard here is deliberately loose (10 s, far above the
 // observed time) so the test catches an accidental return to O(n²)
-// structures — mailbox tables, per-link matrices, per-rank linear scans —
-// not machine jitter.
+// structures — per-pair tables, per-link matrices, per-rank linear
+// scans — not machine jitter.
 
 import (
 	"testing"
@@ -31,10 +31,7 @@ func TestEventEngine10kRanks(t *testing.T) {
 
 	var st sched.Stats
 	start := time.Now()
-	res, err := exec.Run(w, app, dist.Block(cfg.Rows, ranks), exec.Options{
-		Engine:     exec.EngineEvent,
-		EventStats: &st,
-	})
+	res, err := exec.Run(w, app, dist.Block(cfg.Rows, ranks), exec.Options{EventStats: &st})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func unstamp(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// recvProbe is a minimal profiler capturing the last Recv's timing.
+// recvProbe is a minimal profiler capturing the last receive's timing.
 type recvProbe struct {
 	start vclock.Time
 	end   vclock.Time
@@ -64,20 +64,30 @@ func (p *recvProbe) Post(ci *mpi.CallInfo) {
 	}
 }
 
+// recv completes a receive whose message has already been sent.
+func recv(r *mpi.Rank, src, tag int) []byte {
+	data, _ := r.TryRecv(&mpi.RecvOp{Src: src, Tag: tag})
+	return data
+}
+
 // MicroBenchNet measures the network constants with timed exchanges
 // between ranks 0 and 1 ("We use microbenchmarks to measure some basic
 // communication costs, such as send and receive overheads and send
 // latency per byte between nodes", §4.1). reps samples per size are
 // averaged to smooth perturbation noise.
 //
-// Protocol per (size, rep): rank 1 sends a "ready" token and immediately
-// posts its receive, guaranteeing it blocks; rank 0 consumes the token,
-// sends the timed payload, and follows with a tiny message carrying the
-// virtual timestamp at which the payload's send completed. On rank 1 the
-// PMPI probe yields the receive's start, wait and end, from which the
-// arrival time, the receive overhead or(m), and — against the sender's
-// timestamp — the wire time all follow. The send overhead os(m) is timed
-// directly on rank 0.
+// Protocol per (size, rep): rank 1 sends a "ready" token and posts its
+// receive; rank 0 consumes the token, sends the timed payload, and
+// follows with a tiny message carrying the virtual timestamp at which the
+// payload's send completed. On rank 1 the PMPI probe yields the receive's
+// start, wait and end, from which the arrival time, the receive overhead
+// or(m), and — against the sender's timestamp — the wire time all follow.
+// The send overhead os(m) is timed directly on rank 0.
+//
+// Both ranks' operations are issued in that order from the caller: each
+// receive comes after its matching send, so none ever waits for a
+// message to exist, and virtual time (the receive's Wait) still
+// accounts for rank 1 being ahead of the payload's arrival.
 func MicroBenchNet(w *mpi.World, reps int) core.NetParams {
 	if reps < 1 {
 		reps = 1
@@ -86,34 +96,27 @@ func MicroBenchNet(w *mpi.World, reps int) core.NetParams {
 	type avg struct{ os, or, wire float64 }
 	results := make(map[int]avg, 2)
 
+	r0, r1 := w.Rank(0), w.Rank(1)
+	probe := &recvProbe{}
+	r1.SetProfiler(probe)
+	defer r1.SetProfiler(nil)
 	for _, size := range []int{netSizeSmall, netSizeLarge} {
 		var osSum, orSum, wireSum float64
 		payload := make([]byte, size)
-		w.Run(func(r *mpi.Rank) {
-			switch r.Rank() {
-			case 0:
-				for rep := 0; rep < reps; rep++ {
-					r.Recv(1, tagReady)
-					t0 := r.Now()
-					r.Send(1, tagData, payload)
-					se := r.Now()
-					osSum += float64(se - t0)
-					r.Send(1, tagStamp, stamp(float64(se)))
-				}
-			case 1:
-				probe := &recvProbe{}
-				r.SetProfiler(probe)
-				defer r.SetProfiler(nil)
-				for rep := 0; rep < reps; rep++ {
-					r.Send(0, tagReady, stamp(0))
-					r.Recv(0, tagData)
-					arrival := probe.start + vclock.Time(probe.wait)
-					orSum += float64(probe.end - arrival)
-					se := unstamp(r.Recv(0, tagStamp))
-					wireSum += float64(arrival) - se
-				}
-			}
-		})
+		for rep := 0; rep < reps; rep++ {
+			r1.Send(0, tagReady, stamp(0))
+			recv(r0, 1, tagReady)
+			t0 := r0.Now()
+			r0.Send(1, tagData, payload)
+			se := r0.Now()
+			osSum += float64(se - t0)
+			r0.Send(1, tagStamp, stamp(float64(se)))
+
+			recv(r1, 0, tagData)
+			arrival := probe.start + vclock.Time(probe.wait)
+			orSum += float64(probe.end - arrival)
+			wireSum += float64(arrival) - unstamp(recv(r1, 0, tagStamp))
+		}
 		results[size] = avg{
 			os:   osSum / float64(reps),
 			or:   orSum / float64(reps),
@@ -140,8 +143,9 @@ func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 	}
 	cals := make([]core.DiskCal, w.Size())
 	buf := make([]byte, diskSizeLarge)
-	w.Run(func(r *mpi.Rank) {
-		const scratch = "__mheta_scratch__"
+	const scratch = "__mheta_scratch__"
+	for p := range cals {
+		r := w.Rank(p)
 		r.Disk().Reserve(scratch, diskSizeLarge)
 		readAvg := make(map[int]float64, 2)
 		writeAvg := make(map[int]float64, 2)
@@ -170,7 +174,7 @@ func MicroBenchDisk(w *mpi.World, reps int) []core.DiskCal {
 		c.ReadSeek, _ = linfit(s1, readAvg[diskSizeSmall], s2, readAvg[diskSizeLarge])
 		c.WriteSeek, _ = linfit(s1, writeAvg[diskSizeSmall], s2, writeAvg[diskSizeLarge])
 		c.IssueCost = issueSum / float64(reps)
-		cals[r.Rank()] = c
-	})
+		cals[p] = c
+	}
 	return cals
 }

@@ -6,6 +6,7 @@
 package internal_test
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"mheta/internal/apps"
@@ -222,59 +223,93 @@ func TestMultigridAllConfigs(t *testing.T) {
 
 func TestReductionModelMatchesEmulatorExactly(t *testing.T) {
 	// The model's binomial-tree recurrence (core.reduceTree) must mirror
-	// the runtime's Allreduce byte-for-byte in virtual time: with noise
+	// the runtime's AllreduceSM byte-for-byte in virtual time: with noise
 	// off and per-node compute skews, predicted and actual post-reduction
 	// times must agree to floating-point precision.
-	for _, n := range []int{2, 3, 4, 5, 6, 7, 8} {
-		spec := cluster.DC(8)
-		spec.Nodes = spec.Nodes[:n]
-		for i := range spec.Nodes {
-			spec.Nodes[i] = cluster.NodeSpec{CPUPower: 1, MemoryBytes: 8 << 20, DiskScale: 1}
-		}
-		w := mpi.NewWorld(spec, 1, 0)
+	for n := 2; n <= 8; n++ {
 		skews := make([]float64, n)
 		for i := range skews {
 			skews[i] = float64((i*7)%5) * 0.01 // deterministic uneven entry times
 		}
-		payload := int64(64)
-		times := w.Run(func(r *mpi.Rank) {
-			r.Compute(skews[r.Rank()], 1)
-			r.Allreduce(3, mpi.OpSum, make([]float64, payload/8))
-		})
+		checkReductionModel(t, skews, 64)
+	}
+}
 
-		// Build a one-section reduction model with compute rates equal to
-		// the skews (1 element per node).
-		p := core.Params{
-			Program: "redcheck", Nodes: n, Iterations: 1,
-			MemoryBytes: make([]int64, n),
-			Disk:        make([]core.DiskCal, n),
-			Net: core.NetParams{
-				SendFixed: float64(spec.Net.SendOverhead), SendPerByte: float64(spec.Net.PerByteSend),
-				RecvFixed: float64(spec.Net.RecvOverhead), RecvPerByte: float64(spec.Net.PerByteRecv),
-				WireFixed: float64(spec.Net.Latency), WirePerByte: float64(spec.Net.PerByteWire),
-			},
-			BaseDist: make([]int, n),
-			Sections: []core.SectionParams{{
-				Name: "red", Tiles: 1, Comm: program.CommReduction, ReduceBytes: payload,
-				Stages: []core.StageParams{{Name: "s", ComputePerElem: skews}},
-			}},
+// FuzzReductionMatchesModel widens TestReductionModelMatchesEmulatorExactly
+// to random world sizes (1–64 ranks), per-rank compute skews and payload
+// sizes.
+func FuzzReductionMatchesModel(f *testing.F) {
+	f.Add(uint8(0), uint64(0), uint8(8))
+	f.Add(uint8(9), uint64(7), uint8(1))
+	f.Add(uint8(63), uint64(0xC0FFEE), uint8(0))
+	f.Fuzz(func(t *testing.T, n uint8, seed uint64, words uint8) {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		skews := make([]float64, 1+int(n)%64)
+		for i := range skews {
+			skews[i] = rng.Float64() * 0.05
 		}
-		for i := 0; i < n; i++ {
-			p.MemoryBytes[i] = 8 << 20
-			p.BaseDist[i] = 1
+		checkReductionModel(t, skews, 8*int64(words))
+	})
+}
+
+// checkReductionModel runs, on len(skews) noise-free ranks, a compute of
+// skews[p] seconds on rank p followed by an Allreduce of payload bytes,
+// and demands that every rank's clock equals the model's prediction for
+// a one-section reduction program with those compute times.
+func checkReductionModel(t *testing.T, skews []float64, payload int64) {
+	t.Helper()
+	n := len(skews)
+	spec := cluster.DC(2)
+	spec.Nodes = make([]cluster.NodeSpec, n)
+	for i := range spec.Nodes {
+		spec.Nodes[i] = cluster.NodeSpec{CPUPower: 1, MemoryBytes: 8 << 20, DiskScale: 1}
+	}
+	w := mpi.NewWorld(spec, 1, 0)
+	sms := make([]*mpi.AllreduceSM, n)
+	err := w.Run(func(r *mpi.Rank) bool {
+		p := r.Rank()
+		if sms[p] == nil {
+			r.Compute(skews[p], 1)
+			sms[p] = &mpi.AllreduceSM{Tag: 3, Op: mpi.OpSum, Vals: make([]float64, payload/8)}
 		}
-		model := core.MustModel(p)
-		d := make([]int, n)
-		for i := range d {
-			d[i] = 1
-		}
-		pred := model.PredictDetailed(d)
-		for i := 0; i < n; i++ {
-			got := pred.SectionTimes[0][i]
-			want := float64(times[i])
-			if diff := got - want; diff < -1e-12 || diff > 1e-12 {
-				t.Fatalf("n=%d rank %d: model %.12f vs emulator %.12f", n, i, got, want)
-			}
+		return sms[p].Step(r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Build a one-section reduction model with compute rates equal to
+	// the skews (1 element per node).
+	p := core.Params{
+		Program: "redcheck", Nodes: n, Iterations: 1,
+		MemoryBytes: make([]int64, n),
+		Disk:        make([]core.DiskCal, n),
+		Net: core.NetParams{
+			SendFixed: float64(spec.Net.SendOverhead), SendPerByte: float64(spec.Net.PerByteSend),
+			RecvFixed: float64(spec.Net.RecvOverhead), RecvPerByte: float64(spec.Net.PerByteRecv),
+			WireFixed: float64(spec.Net.Latency), WirePerByte: float64(spec.Net.PerByteWire),
+		},
+		BaseDist: make([]int, n),
+		Sections: []core.SectionParams{{
+			Name: "red", Tiles: 1, Comm: program.CommReduction, ReduceBytes: payload,
+			Stages: []core.StageParams{{Name: "s", ComputePerElem: skews}},
+		}},
+	}
+	for i := 0; i < n; i++ {
+		p.MemoryBytes[i] = 8 << 20
+		p.BaseDist[i] = 1
+	}
+	model := core.MustModel(p)
+	d := make([]int, n)
+	for i := range d {
+		d[i] = 1
+	}
+	pred := model.PredictDetailed(d)
+	for i := 0; i < n; i++ {
+		got := pred.SectionTimes[0][i]
+		want := float64(w.Rank(i).Now())
+		if diff := got - want; diff < -1e-12 || diff > 1e-12 {
+			t.Fatalf("n=%d payload=%d rank %d: model %.12f vs emulator %.12f", n, payload, i, got, want)
 		}
 	}
 }

@@ -13,6 +13,12 @@ import (
 // core.reduceTree), so predicted and actual reduction costs agree up to
 // noise — our stand-in for the dissertation's reduction equations, which
 // the paper omits for space.
+//
+// Each collective is a resumable state machine: Step runs the calling
+// rank's part of the tree until it completes (true) or parks in a
+// receive (false), and is called again with the same rank when World.Run
+// resumes it. Every rank in the world must run the same collective with
+// the same tag (and root, op and length, where they apply).
 
 // ReduceOp combines two float64 values.
 type ReduceOp func(a, b float64) float64
@@ -40,111 +46,184 @@ func decodeF64s(b []byte) []float64 {
 	return xs
 }
 
-// Reduce combines each rank's vals element-wise with op onto the root
-// rank over a binomial tree. Non-root ranks return nil; the root returns
-// the combined vector. Every rank in the world must call Reduce with the
-// same tag, root, op and length.
-func (r *Rank) Reduce(root, tag int, op ReduceOp, vals []float64) []float64 {
-	ci := &CallInfo{Kind: CallReduce, Peer: root, Bytes: 8 * len(vals), Tag: tag}
-	r.pre(ci)
-	acc := append([]float64(nil), vals...)
+// ReduceSM combines each rank's Vals element-wise with Op onto the Root
+// rank over a binomial tree. Step returns false when the rank parked
+// mid-tree; retry after World.Run resumes it.
+type ReduceSM struct {
+	Root, Tag int
+	Op        ReduceOp
+	Vals      []float64
+
+	started bool
+	ci      CallInfo
+	acc     []float64
+	mask    int
+	recv    *RecvOp
+}
+
+// Step advances the reduction until it completes (true) or parks
+// (false).
+func (s *ReduceSM) Step(r *Rank) bool {
 	n := r.Size()
-	// Work in root-relative rank space so any root works.
-	rel := (r.rank - root + n) % n
-	itag := reservedTagBase + tag
-	for mask := 1; mask < n; mask <<= 1 {
-		if rel&mask != 0 {
-			parent := ((rel - mask) + root) % n
-			r.Send(parent, itag, encodeF64s(acc))
-			acc = nil
+	if !s.started {
+		s.ci = CallInfo{Kind: CallReduce, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
+		r.pre(&s.ci)
+		s.acc = append([]float64(nil), s.Vals...)
+		s.mask = 1
+		s.started = true
+	}
+	rel := (r.rank - s.Root + n) % n
+	itag := reservedTagBase + s.Tag
+	for ; s.mask < n; s.mask <<= 1 {
+		if rel&s.mask != 0 {
+			parent := ((rel - s.mask) + s.Root) % n
+			r.Send(parent, itag, encodeF64s(s.acc))
+			s.acc = nil
 			break
 		}
-		if rel+mask < n {
-			child := (rel + mask + root) % n
-			got := decodeF64s(r.Recv(child, itag))
-			for i := range acc {
-				acc[i] = op(acc[i], got[i])
+		if rel+s.mask < n {
+			child := (rel + s.mask + s.Root) % n
+			if s.recv == nil {
+				s.recv = &RecvOp{Src: child, Tag: itag}
+			}
+			data, ok := r.TryRecv(s.recv)
+			if !ok {
+				return false
+			}
+			s.recv = nil
+			got := decodeF64s(data)
+			for i := range s.acc {
+				s.acc[i] = s.Op(s.acc[i], got[i])
 			}
 		}
 	}
-	r.post(ci)
-	return acc
+	r.post(&s.ci)
+	return true
 }
 
-// Bcast distributes vals from root to all ranks over a binomial tree and
-// returns the received (or original, on root) vector.
-func (r *Rank) Bcast(root, tag int, vals []float64) []float64 {
-	ci := &CallInfo{Kind: CallBcast, Peer: root, Bytes: 8 * len(vals), Tag: tag}
-	r.pre(ci)
+// Result returns the combined vector on the root, nil elsewhere. Valid
+// once Step returned true.
+func (s *ReduceSM) Result() []float64 { return s.acc }
+
+// BcastSM distributes the Root's Vals to every rank over a binomial tree
+// (one park point: the receive from the parent; forwarding to children
+// never blocks). Every rank passes Vals of the same length; only the
+// root's values are sent.
+type BcastSM struct {
+	Root, Tag int
+	Vals      []float64
+
+	started    bool
+	ci         CallInfo
+	mask       int
+	forwarding bool
+	recv       *RecvOp
+	vals       []float64
+}
+
+// Step advances the broadcast until it completes (true) or parks
+// (false).
+func (s *BcastSM) Step(r *Rank) bool {
 	n := r.Size()
-	rel := (r.rank - root + n) % n
-	itag := reservedTagBase + (1 << 20) + tag
-	// Find the level at which this rank receives: the lowest set bit.
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent := ((rel &^ mask) + root) % n
-			vals = decodeF64s(r.Recv(parent, itag))
-			break
-		}
-		mask <<= 1
+	rel := (r.rank - s.Root + n) % n
+	itag := reservedTagBase + (1 << 20) + s.Tag
+	if !s.started {
+		s.ci = CallInfo{Kind: CallBcast, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
+		r.pre(&s.ci)
+		s.vals = s.Vals
+		s.mask = 1
+		s.started = true
 	}
-	// Forward to children below that level.
-	for mask >>= 1; mask >= 1; mask >>= 1 {
-		if rel+mask < n && rel&(mask-1) == 0 && rel&mask == 0 {
-			child := (rel + mask + root) % n
-			r.Send(child, itag, encodeF64s(vals))
+	if !s.forwarding {
+		for s.mask < n {
+			if rel&s.mask != 0 {
+				parent := ((rel &^ s.mask) + s.Root) % n
+				if s.recv == nil {
+					s.recv = &RecvOp{Src: parent, Tag: itag}
+				}
+				data, ok := r.TryRecv(s.recv)
+				if !ok {
+					return false
+				}
+				s.recv = nil
+				s.vals = decodeF64s(data)
+				break
+			}
+			s.mask <<= 1
+		}
+		s.forwarding = true
+		s.mask >>= 1
+	}
+	for ; s.mask >= 1; s.mask >>= 1 {
+		if rel+s.mask < n && rel&(s.mask-1) == 0 && rel&s.mask == 0 {
+			child := (rel + s.mask + s.Root) % n
+			r.Send(child, itag, encodeF64s(s.vals))
 		}
 	}
-	r.post(ci)
-	return vals
+	r.post(&s.ci)
+	return true
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast, the structure the MHETA
-// reduction model mirrors.
-func (r *Rank) Allreduce(tag int, op ReduceOp, vals []float64) []float64 {
-	acc := r.Reduce(0, tag, op, vals)
-	if r.rank != 0 {
-		acc = make([]float64, len(vals))
-	}
-	return r.Bcast(0, tag, acc)
+// Result returns the broadcast vector. Valid once Step returned true.
+func (s *BcastSM) Result() []float64 { return s.vals }
+
+// AllreduceSM is a ReduceSM to rank 0 followed by a BcastSM from rank 0,
+// the structure the MHETA reduction model mirrors.
+type AllreduceSM struct {
+	Tag  int
+	Op   ReduceOp
+	Vals []float64
+
+	reduce *ReduceSM
+	bcast  *BcastSM
 }
 
-// Barrier synchronises all ranks: an empty Allreduce.
-func (r *Rank) Barrier(tag int) {
-	ci := &CallInfo{Kind: CallBarrier, Tag: tag}
-	r.pre(ci)
-	r.Allreduce(tag+(1<<21), OpSum, nil)
-	r.post(ci)
+// Step advances the allreduce until it completes (true) or parks
+// (false).
+func (s *AllreduceSM) Step(r *Rank) bool {
+	if s.bcast == nil {
+		if s.reduce == nil {
+			s.reduce = &ReduceSM{Root: 0, Tag: s.Tag, Op: s.Op, Vals: s.Vals}
+		}
+		if !s.reduce.Step(r) {
+			return false
+		}
+		acc := s.reduce.Result()
+		if r.rank != 0 {
+			acc = make([]float64, len(s.Vals))
+		}
+		s.bcast = &BcastSM{Root: 0, Tag: s.Tag, Vals: acc}
+	}
+	return s.bcast.Step(r)
 }
 
-// BcastBytes distributes raw bytes from root (used for data placement
-// validation in tests; charges normal message costs).
-func (r *Rank) BcastBytes(root, tag int, data []byte) []byte {
-	// Reuse the float64 tree by padding to 8-byte multiples would distort
-	// sizes; implement directly instead.
-	ci := &CallInfo{Kind: CallBcast, Peer: root, Bytes: len(data), Tag: tag}
-	r.pre(ci)
-	n := r.Size()
-	rel := (r.rank - root + n) % n
-	itag := reservedTagBase + (1 << 22) + tag
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent := ((rel &^ mask) + root) % n
-			data = r.Recv(parent, itag)
-			break
-		}
-		mask <<= 1
+// Result returns the combined vector, identical on every rank. Valid
+// once Step returned true.
+func (s *AllreduceSM) Result() []float64 { return s.bcast.Result() }
+
+// BarrierSM synchronises all ranks: an empty AllreduceSM under the
+// Barrier CallInfo.
+type BarrierSM struct {
+	Tag int
+
+	started bool
+	ci      CallInfo
+	all     *AllreduceSM
+}
+
+// Step advances the barrier until it completes (true) or parks (false).
+func (s *BarrierSM) Step(r *Rank) bool {
+	if !s.started {
+		s.ci = CallInfo{Kind: CallBarrier, Tag: s.Tag}
+		r.pre(&s.ci)
+		s.all = &AllreduceSM{Tag: s.Tag + (1 << 21), Op: OpSum, Vals: nil}
+		s.started = true
 	}
-	for mask >>= 1; mask >= 1; mask >>= 1 {
-		if rel+mask < n && rel&(mask-1) == 0 && rel&mask == 0 {
-			child := (rel + mask + root) % n
-			r.Send(child, itag, data)
-		}
+	if !s.all.Step(r) {
+		return false
 	}
-	r.post(ci)
-	return data
+	r.post(&s.ci)
+	return true
 }
 
 // WaitUntil advances the rank's clock to at least t, returning the waited

@@ -1,55 +1,50 @@
 package mpi
 
-// Event-mode primitives: the same runtime operations as the goroutine
-// core, restructured as resumable state machines for the discrete-event
-// engine (internal/sched, DESIGN.md §5.13).
+// The driver: every rank is a resumable program, and World.Run resumes
+// ranks one at a time from the world's discrete-event scheduler
+// (internal/sched, DESIGN.md §5.13).
 //
-// The only operation that blocks on another rank is Recv; everything
-// else advances the calling rank's own clock. So a rank's program can
-// be interpreted as straight-line code with explicit park points at
-// each receive: TryRecv either completes a receive exactly like Recv,
-// or parks the rank in the scheduler and returns false, to be retried
-// after the matching Send wakes it.
+// The only operation that waits on another rank is a receive;
+// everything else advances the calling rank's own clock. So a rank's
+// program runs as straight-line code with explicit park points at each
+// receive: TryRecv either completes the receive, or parks the rank in
+// the scheduler and returns false, to be retried once the matching Send
+// wakes it. Collectives (collectives.go) are state machines over the
+// same primitive.
 //
-// Bit-identity with the goroutine core follows from two properties,
-// both enforced here:
+// Determinism follows from two properties, both enforced here:
 //
-//  1. Per-rank op order is identical — every pre/post hook, clock
-//     advance, and noise draw happens in the same program order, with
-//     pre fired once per logical call (before the first match attempt,
-//     as Recv fires it before mailbox.take blocks).
-//  2. Message matching is identical — sched's per-(src,dst) FIFO with
-//     tag filtering is byte-for-byte the mailbox.take rule, and the
-//     collective state machines replay the exact binomial-tree
-//     schedule (same internal tags, same send/recv sequence) of
-//     collectives.go.
+//  1. Per-rank op order is fixed by the rank's program — every pre/post
+//     hook, clock advance, and noise draw happens in program order, with
+//     a receive's pre hook fired once per logical call (before the first
+//     match attempt) however often the rank parks on it.
+//  2. Message matching is per-(src,dst) FIFO with tag filtering, so
+//     which message a receive takes does not depend on when it runs.
 //
 // Since all cross-rank data flow is message timestamps, any dispatch
 // order the scheduler picks yields the same clocks, traces and
-// recorder contents.
+// recorders.
 
-import "mheta/internal/sched"
+import "fmt"
 
-// RecvOp is one event-mode receive in flight. The zero value with Src
-// and Tag set is ready for the first TryRecv; the op keeps the pre-fired
-// CallInfo across park/resume so profiler hooks fire exactly once per
-// logical receive, like Recv.
+// RecvOp is one receive in flight. The zero value with Src and Tag set
+// is ready for the first TryRecv; the op keeps the pre-fired CallInfo
+// across park/resume so profiler hooks fire exactly once per logical
+// receive.
 type RecvOp struct {
 	Src, Tag int
 	ci       CallInfo
 	started  bool
 }
 
-// TryRecv attempts the receive described by op. On a match it performs
-// the full Recv timing (wait to arrival, charge or(m), Post hook) and
-// returns the payload. On a miss it parks the rank on (src, tag) in the
-// bound scheduler and returns false; the driver must suspend the rank
-// until the scheduler dispatches it again, then retry the same op.
+// TryRecv attempts the receive described by op. On a match it advances
+// the clock to the message's arrival (the blocked span is the CallInfo's
+// Wait), charges or(m), fires the Post hook and returns the payload. On
+// a miss inside World.Run it parks the rank on (src, tag) and returns
+// false: the step function must return false and retry the same op when
+// Run resumes the rank. Outside World.Run nothing could resume the rank,
+// so a miss panics.
 func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
-	s := r.world.sched
-	if s == nil {
-		panic("mpi: TryRecv without a bound scheduler")
-	}
 	if op.Src == r.rank {
 		panic("mpi: Recv from self")
 	}
@@ -58,8 +53,12 @@ func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 		r.pre(&op.ci)
 		op.started = true
 	}
+	s := r.world.sched
 	m, ok := s.TryRecv(op.Src, r.rank, op.Tag)
 	if !ok {
+		if !r.world.running {
+			panic(fmt.Sprintf("mpi: rank %d: no message from rank %d with tag %d, and no World.Run to wait in", r.rank, op.Src, op.Tag))
+		}
 		s.Park(r.rank, op.Src, op.Tag, r.clk.Now())
 		return nil, false
 	}
@@ -70,183 +69,42 @@ func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 	return m.Data, true
 }
 
-// Scheduler returns the bound scheduler, or nil outside event mode.
-func (w *World) Scheduler() *sched.Scheduler { return w.sched }
-
-// ReduceSM is Reduce as a resumable state machine: same binomial tree,
-// same internal tag, same hook sequence. Step returns false when the
-// rank parked mid-tree; retry after the scheduler redisppatches.
-type ReduceSM struct {
-	Root, Tag int
-	Op        ReduceOp
-	Vals      []float64
-
-	started bool
-	ci      CallInfo
-	acc     []float64
-	mask    int
-	recv    *RecvOp
-}
-
-// Step advances the reduction until it completes (true) or parks
-// (false).
-func (s *ReduceSM) Step(r *Rank) bool {
-	n := r.Size()
-	if !s.started {
-		s.ci = CallInfo{Kind: CallReduce, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
-		r.pre(&s.ci)
-		s.acc = append([]float64(nil), s.Vals...)
-		s.mask = 1
-		s.started = true
+// Run drives every rank to completion. Each rank is readied at its
+// current clock; Run then repeatedly resumes the earliest ready rank by
+// calling step, which runs that rank's program forward and returns true
+// once the rank has finished, or false after a TryRecv parked it. A
+// rank's program must keep its own position between calls (see
+// exec's interpreter, or the collectives' state machines).
+//
+// Run returns an error, with the scheduler's blocking picture, when
+// ranks remain unfinished but none can run — a deadlock; the world must
+// then have its clocks reset before it runs again. A panic in step is
+// re-raised as "mpi: rank N panicked: ...".
+func (w *World) Run(step func(r *Rank) bool) error {
+	s := w.sched
+	for _, r := range w.ranks {
+		s.Ready(r.rank, r.clk.Now())
 	}
-	rel := (r.rank - s.Root + n) % n
-	itag := reservedTagBase + s.Tag
-	for ; s.mask < n; s.mask <<= 1 {
-		if rel&s.mask != 0 {
-			parent := ((rel - s.mask) + s.Root) % n
-			r.Send(parent, itag, encodeF64s(s.acc))
-			s.acc = nil
-			break
+	w.running = true
+	defer func() { w.running = false }()
+	for remaining := len(w.ranks); remaining > 0; {
+		p, ok := s.Next()
+		if !ok {
+			return fmt.Errorf("mpi: deadlock with %d ranks unfinished: %s", remaining, s.DumpState())
 		}
-		if rel+s.mask < n {
-			child := (rel + s.mask + s.Root) % n
-			if s.recv == nil {
-				s.recv = &RecvOp{Src: child, Tag: itag}
-			}
-			data, ok := r.TryRecv(s.recv)
-			if !ok {
-				return false
-			}
-			s.recv = nil
-			got := decodeF64s(data)
-			for i := range s.acc {
-				s.acc[i] = s.Op(s.acc[i], got[i])
-			}
+		if w.resume(step, w.ranks[p]) {
+			remaining--
 		}
 	}
-	r.post(&s.ci)
-	return true
+	return nil
 }
 
-// Result returns the combined vector on the root, nil elsewhere
-// (Reduce's contract). Valid once Step returned true.
-func (s *ReduceSM) Result() []float64 { return s.acc }
-
-// BcastSM is Bcast as a resumable state machine (one park point: the
-// receive from the parent; forwarding to children never blocks).
-type BcastSM struct {
-	Root, Tag int
-	Vals      []float64
-
-	started    bool
-	ci         CallInfo
-	mask       int
-	forwarding bool
-	recv       *RecvOp
-	vals       []float64
-}
-
-// Step advances the broadcast until it completes (true) or parks
-// (false).
-func (s *BcastSM) Step(r *Rank) bool {
-	n := r.Size()
-	rel := (r.rank - s.Root + n) % n
-	itag := reservedTagBase + (1 << 20) + s.Tag
-	if !s.started {
-		s.ci = CallInfo{Kind: CallBcast, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
-		r.pre(&s.ci)
-		s.vals = s.Vals
-		s.mask = 1
-		s.started = true
-	}
-	if !s.forwarding {
-		for s.mask < n {
-			if rel&s.mask != 0 {
-				parent := ((rel &^ s.mask) + s.Root) % n
-				if s.recv == nil {
-					s.recv = &RecvOp{Src: parent, Tag: itag}
-				}
-				data, ok := r.TryRecv(s.recv)
-				if !ok {
-					return false
-				}
-				s.recv = nil
-				s.vals = decodeF64s(data)
-				break
-			}
-			s.mask <<= 1
+// resume runs one step of rank r, naming the rank in any panic.
+func (w *World) resume(step func(r *Rank) bool, r *Rank) (done bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r.rank, p))
 		}
-		s.forwarding = true
-		s.mask >>= 1
-	}
-	for ; s.mask >= 1; s.mask >>= 1 {
-		if rel+s.mask < n && rel&(s.mask-1) == 0 && rel&s.mask == 0 {
-			child := (rel + s.mask + s.Root) % n
-			r.Send(child, itag, encodeF64s(s.vals))
-		}
-	}
-	r.post(&s.ci)
-	return true
-}
-
-// Result returns the broadcast vector. Valid once Step returned true.
-func (s *BcastSM) Result() []float64 { return s.vals }
-
-// AllreduceSM composes ReduceSM to rank 0 with BcastSM from rank 0,
-// exactly like Allreduce.
-type AllreduceSM struct {
-	Tag  int
-	Op   ReduceOp
-	Vals []float64
-
-	reduce *ReduceSM
-	bcast  *BcastSM
-}
-
-// Step advances the allreduce until it completes (true) or parks
-// (false).
-func (s *AllreduceSM) Step(r *Rank) bool {
-	if s.bcast == nil {
-		if s.reduce == nil {
-			s.reduce = &ReduceSM{Root: 0, Tag: s.Tag, Op: s.Op, Vals: s.Vals}
-		}
-		if !s.reduce.Step(r) {
-			return false
-		}
-		acc := s.reduce.Result()
-		if r.rank != 0 {
-			acc = make([]float64, len(s.Vals))
-		}
-		s.bcast = &BcastSM{Root: 0, Tag: s.Tag, Vals: acc}
-	}
-	return s.bcast.Step(r)
-}
-
-// Result returns the combined vector, identical on every rank. Valid
-// once Step returned true.
-func (s *AllreduceSM) Result() []float64 { return s.bcast.Result() }
-
-// BarrierSM wraps AllreduceSM in the Barrier CallInfo, exactly like
-// Barrier.
-type BarrierSM struct {
-	Tag int
-
-	started bool
-	ci      CallInfo
-	all     *AllreduceSM
-}
-
-// Step advances the barrier until it completes (true) or parks (false).
-func (s *BarrierSM) Step(r *Rank) bool {
-	if !s.started {
-		s.ci = CallInfo{Kind: CallBarrier, Tag: s.Tag}
-		r.pre(&s.ci)
-		s.all = &AllreduceSM{Tag: s.Tag + (1 << 21), Op: OpSum, Vals: nil}
-		s.started = true
-	}
-	if !s.all.Step(r) {
-		return false
-	}
-	r.post(&s.ci)
-	return true
+	}()
+	return step(r)
 }

@@ -1,6 +1,8 @@
 // Package mpi is the message-passing runtime the applications run on: an
 // in-process analogue of LAM-MPI (the paper's substrate) in which each
-// rank is a goroutine with its own virtual clock, disk, and noise streams.
+// rank is a resumable program with its own virtual clock, disk, and noise
+// streams, and one discrete-event scheduler (internal/sched) drives all
+// ranks (World.Run).
 //
 // Timing semantics mirror what MHETA models (§4.2.2):
 //
@@ -9,21 +11,22 @@
 //     blocks ("both nodes perform their sends before blocking").
 //   - A message becomes available at the receiver at
 //     sendFinish + transferTime.
-//   - Recv blocks (in virtual time) until availability, then charges the
-//     receiver or(m). The blocked span is the Twait of Equation 3/4.
-//   - Collectives are built from Send/Recv over a binomial tree, so their
-//     virtual-time behaviour follows from the point-to-point rules and the
-//     model can reproduce it arithmetically.
+//   - A receive (TryRecv) waits in virtual time until availability, then
+//     charges the receiver or(m). The waited span is the Twait of
+//     Equation 3/4.
+//   - Collectives are built from Send/TryRecv over a binomial tree, so
+//     their virtual-time behaviour follows from the point-to-point rules
+//     and the model can reproduce it arithmetically.
 //
-// Cross-goroutine coupling happens only through message timestamps, which
-// is sufficient because the applications' communication is deterministic:
-// every Recv names its source and tag, so matching is unambiguous and the
-// virtual-time outcome is independent of the host scheduler.
+// Ranks are coupled only through message timestamps, which is sufficient
+// because the applications' communication is deterministic: every receive
+// names its source and tag, so matching is unambiguous and the
+// virtual-time outcome is independent of the order in which the
+// scheduler resumes ranks.
 package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"mheta/internal/cluster"
 	"mheta/internal/disksim"
@@ -32,7 +35,7 @@ import (
 	"mheta/internal/vclock"
 )
 
-// AnyTag matches any message tag in Recv.
+// AnyTag matches any message tag in a receive (RecvOp.Tag).
 const AnyTag = -1
 
 // Tags at or above reservedTagBase are reserved for collectives.
@@ -94,65 +97,16 @@ type Profiler interface {
 	Post(*CallInfo)
 }
 
-type message struct {
-	tag     int
-	data    []byte
-	arrival vclock.Time
-}
-
-// mailbox is an unbounded FIFO of messages for one (src,dst) pair.
-// Unbounded buffering keeps sends non-blocking, matching the model's
-// assumption that send overhead is paid immediately and the message is
-// then "on route".
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	msgs []message //mheta:guardedby mu
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) put(msg message) {
-	m.mu.Lock()
-	m.msgs = append(m.msgs, msg)
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// take removes and returns the first message matching tag (or the first
-// message of any tag when tag == AnyTag), blocking until one exists.
-// Per-pair FIFO order among equal tags is preserved, as in MPI.
-func (m *mailbox) take(tag int) message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i, msg := range m.msgs {
-			if tag == AnyTag || msg.tag == tag {
-				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
-				return msg
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
-// World is one emulated cluster run: ranks, mailboxes, network and disks.
+// World is one emulated cluster run: ranks, network, disks, and the
+// scheduler that carries messages between ranks and drives them.
 type World struct {
 	spec  cluster.Spec
 	net   *netsim.Network
 	ranks []*Rank
-	// Mailboxes are created lazily per communicating (src,dst) pair: the
-	// applications' patterns (chains, binomial trees) touch O(n·log n)
-	// pairs, so eager n² allocation would dominate memory at 10k+ ranks.
-	boxMu sync.Mutex
-	boxes map[uint64]*mailbox //mheta:guardedby boxMu
-	// sched, when bound, replaces goroutine mailbox delivery with the
-	// discrete-event scheduler (see BindScheduler).
 	sched *sched.Scheduler
+	// running is set while Run drives the ranks; outside it a receive
+	// that finds no message cannot park, and panics instead.
+	running bool
 }
 
 // NewWorld builds a world for the given cluster spec. seed drives all
@@ -165,13 +119,13 @@ func NewWorld(spec cluster.Spec, seed uint64, noiseAmp float64) *World {
 	n := spec.N()
 	root := vclock.NewNoise(seed, noiseAmp)
 	// The network's cost model is shared and read-only; perturbation
-	// happens per rank (netNz below) so concurrent ranks neither race on
-	// a noise stream nor make each other's draws schedule-dependent.
+	// happens per rank (netNz below) so no rank's draws depend on the
+	// order in which the scheduler resumes ranks.
 	w := &World{
 		spec:  spec,
 		net:   netsim.New(n, spec.Net, nil),
-		boxes: make(map[uint64]*mailbox),
 		ranks: make([]*Rank, n),
+		sched: sched.New(n),
 	}
 	for r := 0; r < n; r++ {
 		nodeNoise := root.Fork(uint64(r) + 1)
@@ -199,90 +153,28 @@ func (w *World) Spec() cluster.Spec { return w.spec }
 // inspection).
 func (w *World) Rank(r int) *Rank { return w.ranks[r] }
 
-// Run executes fn once per rank, concurrently, and returns each rank's
-// final virtual time. It panics if any rank panics (after all finish or
-// deadlock — application bugs surface as Go deadlock reports).
-func (w *World) Run(fn func(r *Rank)) []vclock.Time {
-	if w.sched != nil {
-		panic("mpi: World.Run while a scheduler is bound")
-	}
-	var wg sync.WaitGroup
-	panics := make([]any, w.Size())
-	for i := range w.ranks {
-		wg.Add(1)
-		//mheta:lifecycle waitgroup
-		go func(r *Rank) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[r.rank] = p
-				}
-			}()
-			fn(r)
-		}(w.ranks[i])
-	}
-	wg.Wait()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r, p))
-		}
-	}
-	times := make([]vclock.Time, w.Size())
-	for i, r := range w.ranks {
-		times[i] = r.clk.Now()
-	}
-	return times
-}
-
-// ResetClocks rewinds every rank's clock and disk service queue so the
-// same world (with data already on disk) can run another phase.
+// ResetClocks rewinds every rank's clock and disk service queue, and
+// empties the scheduler, so the same world (with data already on disk)
+// can run another phase.
 func (w *World) ResetClocks() {
 	for _, r := range w.ranks {
 		r.clk.Reset()
 		r.disk.ResetTiming()
 	}
-	w.boxMu.Lock()
-	w.boxes = make(map[uint64]*mailbox)
-	w.boxMu.Unlock()
+	w.sched.Reset()
 }
 
-func boxKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+// Stats returns the scheduler's counters since the world was built or
+// last had its clocks reset: dispatches, messages, parks and wakes.
+func (w *World) Stats() sched.Stats { return w.sched.Stats() }
 
-// box returns the (src,dst) mailbox, creating it on first use. Both the
-// sender and the receiver race to create it, hence the lock; contention
-// is negligible because each pair is touched repeatedly after the first
-// message.
-func (w *World) box(src, dst int) *mailbox {
-	key := boxKey(src, dst)
-	w.boxMu.Lock()
-	b := w.boxes[key]
-	if b == nil {
-		b = newMailbox()
-		w.boxes[key] = b
-	}
-	w.boxMu.Unlock()
-	return b
-}
-
-// BindScheduler routes message delivery through the discrete-event
-// scheduler s instead of the goroutine mailboxes. While bound, all
-// ranks must be driven from s's single dispatch loop (the exec event
-// engine): blocking Recv panics — parking receivers use TryRecv — and
-// World.Run must not be called.
-func (w *World) BindScheduler(s *sched.Scheduler) {
-	if s != nil && s.Size() != w.Size() {
-		panic(fmt.Sprintf("mpi: scheduler for %d ranks bound to a %d-rank world", s.Size(), w.Size()))
-	}
-	w.sched = s
-}
-
-// UnbindScheduler restores goroutine (blocking) delivery.
-func (w *World) UnbindScheduler() { w.sched = nil }
-
-// Rank is one process of the emulated application. All methods must be
-// called from the rank's own goroutine (inside World.Run) except the
-// data-placement helpers Disk and SetProfiler, which are used before the
-// run starts.
+// Rank is one process of the emulated application. Its operations run
+// on the caller's goroutine and advance only this rank's clock; a Rank is
+// not safe for concurrent use, and neither is its World. Ranks are
+// normally driven by World.Run's step function; operations that cannot
+// park (everything but a receive that finds no message) may also be
+// called outside it, as may the data-placement helpers Disk and
+// SetProfiler.
 type Rank struct {
 	world    *World
 	rank     int
@@ -397,37 +289,6 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 	r.clk.Advance(r.netNz.Perturb(r.world.net.SendCost(r.rank, dst, len(data))))
 	arrival := r.clk.Now() + vclock.Time(r.netNz.Perturb(r.world.net.TransferTime(r.rank, dst, len(data))))
 	payload := append([]byte(nil), data...)
-	if s := r.world.sched; s != nil {
-		s.Send(r.rank, dst, sched.Msg{Tag: tag, Data: payload, Arrival: arrival})
-	} else {
-		r.world.box(r.rank, dst).put(message{tag: tag, data: payload, arrival: arrival})
-	}
+	r.world.sched.Send(r.rank, dst, sched.Msg{Tag: tag, Data: payload, Arrival: arrival})
 	r.post(ci)
-}
-
-// Recv blocks until a matching message from src arrives, advances the
-// clock to its arrival time, charges or(m), and returns the payload.
-func (r *Rank) Recv(src, tag int) []byte {
-	if src == r.rank {
-		panic("mpi: Recv from self")
-	}
-	if r.world.sched != nil {
-		panic("mpi: blocking Recv under the event engine; drivers must use TryRecv")
-	}
-	ci := &CallInfo{Kind: CallRecv, Peer: src, Tag: tag}
-	r.pre(ci)
-	msg := r.world.box(src, r.rank).take(tag)
-	ci.Bytes = len(msg.data)
-	ci.Wait = r.clk.WaitUntil(msg.arrival)
-	r.clk.Advance(r.netNz.Perturb(r.world.net.RecvCost(src, r.rank, len(msg.data))))
-	r.post(ci)
-	return msg.data
-}
-
-// Sendrecv sends to dst and receives from src (possibly the same rank on
-// both sides of a boundary exchange). The send happens first, matching
-// the model's assumption that sends precede blocking.
-func (r *Rank) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) []byte {
-	r.Send(dst, sendTag, data)
-	return r.Recv(src, recvTag)
 }

@@ -1,7 +1,8 @@
 package mpi
 
 import (
-	"sync"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mheta/internal/cluster"
@@ -20,42 +21,104 @@ func testSpec(n int) cluster.Spec {
 	return spec
 }
 
+// prog is one rank's program in these tests: steps run in order, and a
+// step that returns false has parked and is retried when the rank
+// resumes.
+type prog []func(r *Rank) bool
+
+// drive runs rank p through progs[p] under World.Run; ranks without a
+// program finish at once.
+func drive(w *World, progs ...prog) error {
+	pcs := make([]int, w.Size())
+	return w.Run(func(r *Rank) bool {
+		p := r.Rank()
+		for ; p < len(progs) && pcs[p] < len(progs[p]); pcs[p]++ {
+			if !progs[p][pcs[p]](r) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// runProgs drives the programs and returns every rank's final clock.
+func runProgs(t *testing.T, w *World, progs ...prog) []vclock.Time {
+	t.Helper()
+	if err := drive(w, progs...); err != nil {
+		t.Fatal(err)
+	}
+	times := make([]vclock.Time, w.Size())
+	for p := range times {
+		times[p] = w.Rank(p).Now()
+	}
+	return times
+}
+
+// perRank builds one program per rank of an n-rank world.
+func perRank(n int, f func(p int) prog) []prog {
+	progs := make([]prog, n)
+	for p := range progs {
+		progs[p] = f(p)
+	}
+	return progs
+}
+
+// do is a step that cannot park.
+func do(f func(r *Rank)) func(*Rank) bool {
+	return func(r *Rank) bool { f(r); return true }
+}
+
+// recv is a step receiving one message from src with tag into *out (when
+// out is non-nil).
+func recv(src, tag int, out *[]byte) func(*Rank) bool {
+	op := &RecvOp{Src: src, Tag: tag}
+	return func(r *Rank) bool {
+		data, ok := r.TryRecv(op)
+		if ok && out != nil {
+			*out = data
+		}
+		return ok
+	}
+}
+
+func send(dst, tag int, data []byte) func(*Rank) bool {
+	return do(func(r *Rank) { r.Send(dst, tag, data) })
+}
+
+func compute(work, unitCost float64) func(*Rank) bool {
+	return do(func(r *Rank) { r.Compute(work, unitCost) })
+}
+
 func TestSendRecvDelivers(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	var got []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 5, []byte("payload"))
-		case 1:
-			got = r.Recv(0, 5)
-		}
-	})
+	runProgs(t, w,
+		prog{send(1, 5, []byte("payload"))},
+		prog{recv(0, 5, &got)})
 	if string(got) != "payload" {
 		t.Fatalf("got %q", got)
 	}
 }
 
 func TestRecvTimingBlockedReceiver(t *testing.T) {
+	// Rank 0 runs first, finds no message and parks until rank 1 sends.
 	spec := testSpec(2)
 	w := NewWorld(spec, 1, 0)
 	net := spec.Net
-	times := w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, make([]byte, 100))
-		case 1:
-			r.Recv(0, 1)
-		}
-	})
+	times := runProgs(t, w,
+		prog{recv(1, 1, nil)},
+		prog{send(0, 1, make([]byte, 100))})
 	// Receiver finishes at os + wire + or.
 	want := float64(net.SendCost(100) + net.TransferTime(100) + net.RecvCost(100))
-	if got := float64(times[1]); !close(got, want) {
+	if got := float64(times[0]); !close(got, want) {
 		t.Fatalf("receiver at %v, want %v", got, want)
 	}
 	// Sender finishes after just the send overhead.
-	if got := float64(times[0]); !close(got, float64(net.SendCost(100))) {
+	if got := float64(times[1]); !close(got, float64(net.SendCost(100))) {
 		t.Fatalf("sender at %v", got)
+	}
+	if st := w.Stats(); st.Parks != 1 || st.Wakes != 1 {
+		t.Fatalf("receiver did not park and wake once: %+v", st)
 	}
 }
 
@@ -69,15 +132,9 @@ func TestRecvTimingLateReceiverPaysNoWait(t *testing.T) {
 	w := NewWorld(spec, 1, 0)
 	net := spec.Net
 	const delay = 1.0
-	times := w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, make([]byte, 100))
-		case 1:
-			r.Compute(delay, 1) // arrive late: message already there
-			r.Recv(0, 1)
-		}
-	})
+	times := runProgs(t, w,
+		prog{send(1, 1, make([]byte, 100))},
+		prog{compute(delay, 1), recv(0, 1, nil)}) // arrive late: message already there
 	want := delay + float64(net.RecvCost(100))
 	if got := float64(times[1]); !close(got, want) {
 		t.Fatalf("receiver at %v, want %v", got, want)
@@ -85,20 +142,14 @@ func TestRecvTimingLateReceiverPaysNoWait(t *testing.T) {
 }
 
 func TestSendNeverBlocks(t *testing.T) {
-	spec := testSpec(2)
-	w := NewWorld(spec, 1, 0)
-	times := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			for i := 0; i < 100; i++ {
-				r.Send(1, 1, make([]byte, 10))
-			}
-		} else {
-			r.Compute(5, 1)
-			for i := 0; i < 100; i++ {
-				r.Recv(0, 1)
-			}
-		}
-	})
+	w := NewWorld(testSpec(2), 1, 0)
+	var sender, receiver prog
+	receiver = append(receiver, compute(5, 1))
+	for i := 0; i < 100; i++ {
+		sender = append(sender, send(1, 1, make([]byte, 10)))
+		receiver = append(receiver, recv(0, 1, nil))
+	}
+	times := runProgs(t, w, sender, receiver)
 	// Sender's time is 100 sends only, far below the receiver's 5s.
 	if times[0] >= 1 {
 		t.Fatalf("sender blocked: %v", times[0])
@@ -106,18 +157,13 @@ func TestSendNeverBlocks(t *testing.T) {
 }
 
 func TestTagMatchingOutOfOrder(t *testing.T) {
+	// The receiver (rank 0) parks on tag 2 first; the tag-1 message that
+	// arrives before it must not wake or satisfy it.
 	w := NewWorld(testSpec(2), 1, 0)
 	var first, second []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, []byte("one"))
-			r.Send(1, 2, []byte("two"))
-		case 1:
-			second = r.Recv(0, 2) // posted first, matches tag 2
-			first = r.Recv(0, 1)
-		}
-	})
+	runProgs(t, w,
+		prog{recv(1, 2, &second), recv(1, 1, &first)},
+		prog{send(0, 1, []byte("one")), send(0, 2, []byte("two"))})
 	if string(first) != "one" || string(second) != "two" {
 		t.Fatalf("got %q, %q", first, second)
 	}
@@ -125,37 +171,24 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 
 func TestFIFOWithinTag(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
-	var got []string
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 1, []byte("a"))
-			r.Send(1, 1, []byte("b"))
-			r.Send(1, 1, []byte("c"))
-		case 1:
-			for i := 0; i < 3; i++ {
-				got = append(got, string(r.Recv(0, 1)))
-			}
-		}
-	})
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("order %v", got)
+	got := make([][]byte, 3)
+	runProgs(t, w,
+		prog{recv(1, 1, &got[0]), recv(1, 1, &got[1]), recv(1, 1, &got[2])},
+		prog{send(0, 1, []byte("a")), send(0, 1, []byte("b")), send(0, 1, []byte("c"))})
+	if string(got[0]) != "a" || string(got[1]) != "b" || string(got[2]) != "c" {
+		t.Fatalf("order %q", got)
 	}
 }
 
 func TestAnyTagMatchesFirst(t *testing.T) {
+	// Parked on AnyTag, rank 0 is woken by whichever tag arrives first.
 	w := NewWorld(testSpec(2), 1, 0)
-	var got []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(1, 77, []byte("x"))
-		case 1:
-			got = r.Recv(0, AnyTag)
-		}
-	})
-	if string(got) != "x" {
-		t.Fatalf("got %q", got)
+	var got, rest []byte
+	runProgs(t, w,
+		prog{recv(1, AnyTag, &got), recv(1, AnyTag, &rest)},
+		prog{send(0, 77, []byte("x")), send(0, 3, []byte("y"))})
+	if string(got) != "x" || string(rest) != "y" {
+		t.Fatalf("got %q then %q", got, rest)
 	}
 }
 
@@ -163,9 +196,8 @@ func TestComputeScalesWithCPUPower(t *testing.T) {
 	spec := testSpec(2)
 	spec.Nodes[1].CPUPower = 2
 	w := NewWorld(spec, 1, 0)
-	times := w.Run(func(r *Rank) {
-		r.Compute(10, 0.1) // 1s of work at power 1
-	})
+	work := prog{compute(10, 0.1)} // 1s of work at power 1
+	times := runProgs(t, w, work, work)
 	if !close(float64(times[0]), 1.0) {
 		t.Fatalf("power-1 node took %v", times[0])
 	}
@@ -181,27 +213,29 @@ func TestSendToSelfPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(0, 1, nil)
+	w.Rank(0).Send(0, 1, nil)
+}
+
+func TestRecvFromSelfPanics(t *testing.T) {
+	w := NewWorld(testSpec(2), 1, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
 		}
-	})
+	}()
+	w.Rank(1).TryRecv(&RecvOp{Src: 1, Tag: 1})
 }
 
 func TestSendCopiesPayload(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	var got []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
+	runProgs(t, w,
+		prog{do(func(r *Rank) {
 			buf := []byte{1, 2, 3}
 			r.Send(1, 1, buf)
 			buf[0] = 99 // must not affect the in-flight message
-		case 1:
-			r.Compute(1, 1)
-			got = r.Recv(0, 1)
-		}
-	})
+		})},
+		prog{compute(1, 1), recv(0, 1, &got)})
 	if got[0] != 1 {
 		t.Fatal("message aliased the sender's buffer")
 	}
@@ -209,32 +243,78 @@ func TestSendCopiesPayload(t *testing.T) {
 
 func TestResetClocks(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
-	w.Run(func(r *Rank) { r.Compute(1, 1) })
+	// Leave a message undelivered: the reset must drop it with the clocks.
+	runProgs(t, w, prog{compute(1, 1), send(1, 1, nil)}, prog{compute(1, 1)})
 	w.ResetClocks()
-	times := w.Run(func(r *Rank) {})
-	for _, tm := range times {
+	if st := w.Stats(); st.Sends != 0 || st.Events != 0 {
+		t.Fatalf("scheduler counters survived the reset: %+v", st)
+	}
+	for _, tm := range runProgs(t, w) {
 		if tm != 0 {
 			t.Fatalf("clock not reset: %v", tm)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a message sent before the reset was still delivered")
+		}
+	}()
+	w.Rank(1).TryRecv(&RecvOp{Src: 0, Tag: 1})
 }
 
 func TestWorldRunPropagatesPanic(t *testing.T) {
 	w := NewWorld(testSpec(2), 1, 0)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("rank panic not propagated")
+		p := recover()
+		if msg, _ := p.(string); !strings.HasPrefix(msg, "mpi: rank 1 panicked: boom") {
+			t.Fatalf("recovered %v, want the rank-1 report", p)
 		}
 	}()
-	w.Run(func(r *Rank) {
+	w.Run(func(r *Rank) bool {
 		if r.Rank() == 1 {
 			panic("boom")
 		}
+		return true
 	})
+	t.Fatal("rank panic not propagated")
+}
+
+func TestWorldRunReportsDeadlock(t *testing.T) {
+	// Each rank waits for the other first: nothing can ever run.
+	w := NewWorld(testSpec(2), 1, 0)
+	err := drive(w, perRank(2, func(p int) prog { return prog{recv(1-p, 4, nil), send(1-p, 4, nil)} })...)
+	if err == nil {
+		t.Fatal("mutual receive did not report a deadlock")
+	}
+	for _, want := range []string{"deadlock with 2 ranks unfinished", "2 parked", "[rank 0 ← src 1 tag 4 @0]", "[rank 1 ← src 0 tag 4 @0]", "0 undelivered"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report %q lacks %q", err, want)
+		}
+	}
+}
+
+func TestRecvOutsideRun(t *testing.T) {
+	// Outside World.Run a receive whose message was already sent
+	// completes; one whose message does not exist panics instead of
+	// parking, since nothing would resume the rank.
+	w := NewWorld(testSpec(2), 1, 0)
+	w.Rank(0).Send(1, 2, []byte("ok"))
+	if data, ok := w.Rank(1).TryRecv(&RecvOp{Src: 0, Tag: 2}); !ok || string(data) != "ok" {
+		t.Fatalf("TryRecv after the send = %q, %v", data, ok)
+	}
+	defer func() {
+		p := recover()
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "no message from rank 0 with tag 2") {
+			t.Fatalf("recovered %v, want a miss report", p)
+		}
+		if st := w.Stats(); st.Parks != 0 {
+			t.Fatalf("a receive outside Run parked: %+v", st)
+		}
+	}()
+	w.Rank(1).TryRecv(&RecvOp{Src: 0, Tag: 2})
 }
 
 type countingProfiler struct {
-	mu    sync.Mutex
 	pre   map[CallKind]int
 	post  map[CallKind]int
 	waits vclock.Duration
@@ -244,37 +324,27 @@ func newCountingProfiler() *countingProfiler {
 	return &countingProfiler{pre: map[CallKind]int{}, post: map[CallKind]int{}}
 }
 
-func (p *countingProfiler) Pre(ci *CallInfo) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pre[ci.Kind]++
-}
+func (p *countingProfiler) Pre(ci *CallInfo) { p.pre[ci.Kind]++ }
 
 func (p *countingProfiler) Post(ci *CallInfo) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.post[ci.Kind]++
 	p.waits += ci.Wait
 }
 
 func TestProfilerSeesCalls(t *testing.T) {
+	// Rank 0's receive parks before rank 1 sends; its hooks must still
+	// fire once per logical receive.
 	w := NewWorld(testSpec(2), 1, 0)
 	prof := newCountingProfiler()
-	w.Run(func(r *Rank) {
-		if r.Rank() == 1 {
-			r.SetProfiler(prof)
-		}
-		switch r.Rank() {
-		case 0:
-			r.Compute(0.001, 1)
-			r.Send(1, 1, make([]byte, 10))
-		case 1:
-			r.Recv(0, 1)
-			r.Compute(0.001, 1)
-		}
-	})
-	if prof.post[CallRecv] != 1 || prof.post[CallCompute] != 1 {
-		t.Fatalf("profiler counts %v", prof.post)
+	w.Rank(0).SetProfiler(prof)
+	runProgs(t, w,
+		prog{recv(1, 1, nil), compute(0.001, 1)},
+		prog{compute(0.001, 1), send(0, 1, make([]byte, 10))})
+	if st := w.Stats(); st.Parks != 1 {
+		t.Fatalf("receiver parked %d times, want 1", st.Parks)
+	}
+	if prof.pre[CallRecv] != 1 || prof.post[CallRecv] != 1 || prof.post[CallCompute] != 1 {
+		t.Fatalf("profiler counts pre %v post %v", prof.pre, prof.post)
 	}
 	if prof.waits <= 0 {
 		t.Fatal("blocked recv must report positive wait")
@@ -284,17 +354,16 @@ func TestProfilerSeesCalls(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []vclock.Time {
 		w := NewWorld(cluster.HY1(8), 42, 0.02)
-		return w.Run(func(r *Rank) {
-			n := r.Size()
-			r.Compute(float64(r.Rank()+1), 0.01)
-			if r.Rank() < n-1 {
-				r.Send(r.Rank()+1, 1, make([]byte, 64))
+		return runProgs(t, w, perRank(8, func(p int) prog {
+			pr := prog{compute(float64(p+1), 0.01)}
+			if p < 7 {
+				pr = append(pr, send(p+1, 1, make([]byte, 64)))
 			}
-			if r.Rank() > 0 {
-				r.Recv(r.Rank()-1, 1)
+			if p > 0 {
+				pr = append(pr, recv(p-1, 1, nil))
 			}
-			r.Allreduce(9, OpSum, []float64{1})
-		})
+			return append(pr, (&AllreduceSM{Tag: 9, Op: OpSum, Vals: []float64{1}}).Step)
+		})...)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -322,23 +391,6 @@ func TestCallKindString(t *testing.T) {
 	}
 }
 
-func TestSendrecv(t *testing.T) {
-	spec := testSpec(2)
-	w := NewWorld(spec, 1, 0)
-	var got0, got1 []byte
-	w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			got0 = r.Sendrecv(1, 1, []byte("from0"), 1, 2)
-		case 1:
-			got1 = r.Sendrecv(0, 2, []byte("from1"), 0, 1)
-		}
-	})
-	if string(got0) != "from1" || string(got1) != "from0" {
-		t.Fatalf("sendrecv got %q, %q", got0, got1)
-	}
-}
-
 func TestNetworkLinkOverride(t *testing.T) {
 	// Sanity check that netsim integration honours per-link params.
 	p := netsim.DefaultParams()
@@ -354,32 +406,29 @@ func TestNetworkLinkOverride(t *testing.T) {
 func TestInterferenceInflatesCompute(t *testing.T) {
 	spec := testSpec(2)
 	w := NewWorld(spec, 1, 0)
-	times := w.Run(func(r *Rank) {
-		if r.Rank() == 1 {
-			r.SetInterference(0.5, 0.25)
-		}
+	w.Rank(1).SetInterference(0.5, 0.25)
+	for p := 0; p < 2; p++ {
 		for i := 0; i < 100; i++ {
-			r.Compute(1, 0.01) // 1s total at factor 1
+			w.Rank(p).Compute(1, 0.01) // 1s total at factor 1
 		}
-	})
-	if !close(float64(times[0]), 1.0) {
-		t.Fatalf("idle rank took %v, want 1s", times[0])
+	}
+	if !close(float64(w.Rank(0).Now()), 1.0) {
+		t.Fatalf("idle rank took %v, want 1s", w.Rank(0).Now())
 	}
 	// Loaded rank: factor averages ≈1.25 over the wave.
-	if times[1] <= 1.05 || times[1] >= 1.5 {
-		t.Fatalf("loaded rank took %v, want ≈1.25s", times[1])
+	if got := w.Rank(1).Now(); got <= 1.05 || got >= 1.5 {
+		t.Fatalf("loaded rank took %v, want ≈1.25s", got)
 	}
 }
 
 func TestInterferenceDeterministic(t *testing.T) {
 	run := func() vclock.Time {
-		w := NewWorld(testSpec(1), 1, 0)
-		return w.Run(func(r *Rank) {
-			r.SetInterference(0.3, 0.1)
-			for i := 0; i < 50; i++ {
-				r.Compute(1, 0.005)
-			}
-		})[0]
+		r := NewWorld(testSpec(1), 1, 0).Rank(0)
+		r.SetInterference(0.3, 0.1)
+		for i := 0; i < 50; i++ {
+			r.Compute(1, 0.005)
+		}
+		return r.Now()
 	}
 	if run() != run() {
 		t.Fatal("interference not deterministic")
@@ -387,29 +436,21 @@ func TestInterferenceDeterministic(t *testing.T) {
 }
 
 func TestFileOpsThroughRank(t *testing.T) {
-	spec := testSpec(2)
-	w := NewWorld(spec, 1, 0)
-	var got []byte
-	var waited bool
-	w.Run(func(r *Rank) {
-		if r.Rank() != 0 {
-			return
-		}
-		r.Disk().Store("v", make([]byte, 256))
-		r.FileWrite("v", 8, []byte{1, 2, 3})
-		got = r.FileRead("v", 8, 3)
-		tag := r.FilePrefetchIssue("v", 0, 64)
-		data := r.FilePrefetchWait("v", tag)
-		waited = len(data) == 64
-		if r.Now() <= 0 {
-			t.Error("file ops charged no time")
-		}
-		_ = r.CPUPower()
-		_ = r.Clock()
-		_ = r.Disk()
-	})
-	if string(got) != string([]byte{1, 2, 3}) || !waited {
-		t.Fatalf("file ops data wrong: %v %v", got, waited)
+	w := NewWorld(testSpec(2), 1, 0)
+	r := w.Rank(0)
+	r.Disk().Store("v", make([]byte, 256))
+	r.FileWrite("v", 8, []byte{1, 2, 3})
+	got := r.FileRead("v", 8, 3)
+	tag := r.FilePrefetchIssue("v", 0, 64)
+	data := r.FilePrefetchWait("v", tag)
+	if r.Now() <= 0 {
+		t.Error("file ops charged no time")
+	}
+	if r.CPUPower() != 1 || r.Clock().Now() != r.Now() {
+		t.Error("rank accessors disagree with the spec")
+	}
+	if string(got) != string([]byte{1, 2, 3}) || len(data) != 64 {
+		t.Fatalf("file ops data wrong: %v %d", got, len(data))
 	}
 }
 
@@ -419,11 +460,11 @@ func TestWorldSpecAndWaitUntil(t *testing.T) {
 	if w.Spec().N() != 3 {
 		t.Fatal("Spec wrong")
 	}
-	w.Run(func(r *Rank) {
-		if d := r.WaitUntil(0.5); float64(d) != 0.5 {
+	for p := 0; p < 3; p++ {
+		if d := w.Rank(p).WaitUntil(0.5); float64(d) != 0.5 {
 			t.Errorf("WaitUntil returned %v", d)
 		}
-	})
+	}
 }
 
 func TestCallInfoDuration(t *testing.T) {

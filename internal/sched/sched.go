@@ -17,9 +17,8 @@
 // push counter that only breaks ties between equal (time, rank) keys,
 // which cannot occur while each rank has at most one pending event, so
 // dispatch order is independent of insertion order. Message matching is
-// per-(src,dst) FIFO with tag filtering, byte-for-byte the semantics of
-// the goroutine core's mailbox.take. The scheduler never consults wall
-// time or ambient randomness.
+// per-(src,dst) FIFO with tag filtering, as in MPI. The scheduler never
+// consults wall time or ambient randomness.
 package sched
 
 import (
@@ -151,8 +150,18 @@ func New(n int) *Scheduler {
 	}
 }
 
-// Size returns the number of ranks.
-func (s *Scheduler) Size() int { return s.n }
+// Reset returns the scheduler to its just-built state — nothing queued,
+// parked or in flight, counters at zero — reusing its per-rank arrays so
+// a world that runs again allocates no new scheduler.
+func (s *Scheduler) Reset() {
+	s.heap = s.heap[:0]
+	s.seq = 0
+	clear(s.queues)
+	clear(s.parked)
+	clear(s.inHeap)
+	clear(s.last)
+	s.stats = Stats{}
+}
 
 func pairKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
 
@@ -216,9 +225,8 @@ func (s *Scheduler) Send(src, dst int, m Msg) {
 }
 
 // TryRecv removes and returns the first undelivered message matching
-// tag on the src→dst link (FIFO among matches, exactly like the
-// goroutine core's mailbox.take). It does not park; a driver that gets
-// ok == false parks the receiver explicitly.
+// tag on the src→dst link (FIFO among matches). It does not park; a
+// driver that gets ok == false parks the receiver explicitly.
 func (s *Scheduler) TryRecv(src, dst, tag int) (Msg, bool) {
 	q := s.queues[pairKey(src, dst)]
 	if q == nil {

@@ -234,3 +234,29 @@ func TestInvalidNew(t *testing.T) {
 	}()
 	New(0)
 }
+
+func TestReset(t *testing.T) {
+	// Reset forgets queued dispatches, parks, undelivered messages, the
+	// time-travel high-water marks and the counters.
+	s := New(3)
+	s.Ready(0, 5)
+	s.Next()
+	s.Ready(1, 2)
+	s.Park(2, 0, 1, 4)
+	s.Send(1, 0, Msg{Tag: 9, Arrival: 3})
+	s.Reset()
+	if _, ok := s.Next(); ok {
+		t.Fatal("a dispatch survived Reset")
+	}
+	if len(s.ParkedRanks()) != 0 || s.PendingMessages() != 0 || s.Stats() != (Stats{}) {
+		t.Fatalf("state survived Reset: %s, %+v", s.DumpState(), s.Stats())
+	}
+	if _, ok := s.TryRecv(1, 0, 9); ok {
+		t.Fatal("a message survived Reset")
+	}
+	s.Ready(0, 0) // rank 0 last ran at t=5: this would be time travel without the reset
+	s.Ready(2, 0) // and rank 2 was parked
+	if r, ok := s.Next(); !ok || r != 0 {
+		t.Fatalf("Next after Reset = %d, %v", r, ok)
+	}
+}
