@@ -153,8 +153,13 @@ const (
 )
 
 // DC returns the "different CPUs" configuration of Table 1: two nodes
-// with lower relative CPU power, two with higher, the rest unchanged.
+// with lower relative CPU power, two with higher, the rest unchanged. It
+// panics for n < 2: the slow pair and the fast pair share nodes below
+// four, and there are not two nodes to give either pair below two.
 func DC(n int) Spec {
+	if n < 2 {
+		panic(fmt.Sprintf("cluster: DC needs at least 2 nodes, got %d", n))
+	}
 	s := uniform("DC", n, defaultMem)
 	s.Nodes[0].CPUPower = 0.5
 	s.Nodes[1].CPUPower = 0.6

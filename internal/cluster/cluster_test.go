@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestDCMatchesTable1(t *testing.T) {
 	s := DC(8)
@@ -235,5 +238,33 @@ func TestWithSharedDisk(t *testing.T) {
 	}
 	if err := shared.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDCSmallClusters(t *testing.T) {
+	// Below four nodes the fast pair overwrites the slow pair; the
+	// corpus digests depend on exactly these powers.
+	for n, want := range map[int][]float64{
+		2: {1.6, 2.0},
+		3: {0.5, 1.6, 2.0},
+		4: {0.5, 0.6, 1.6, 2.0},
+	} {
+		s := DC(n)
+		for i, node := range s.Nodes {
+			if node.CPUPower != want[i] {
+				t.Errorf("DC(%d) node %d power %v, want %v", n, i, node.CPUPower, want[i])
+			}
+		}
+	}
+	for _, n := range []int{1, 0, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("cluster: DC needs at least 2 nodes, got %d", n); msg != want {
+					t.Errorf("DC(%d) panicked with %q, want %q", n, msg, want)
+				}
+			}()
+			DC(n)
+		}()
 	}
 }

@@ -20,7 +20,6 @@ package disksim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mheta/internal/vclock"
 )
@@ -103,9 +102,9 @@ const (
 // queued request completes; a new request starts at max(now, busyUntil)).
 //
 // Disk methods take the owning rank's clock explicitly so that the same
-// Disk can be driven by instrumented and plain runs. A Disk is owned by
-// one rank goroutine; the store is additionally protected by a mutex so
-// verification code may inspect it after a run.
+// Disk can be driven by instrumented and plain runs. A Disk belongs to one
+// rank and, like the rank, is not safe for concurrent use; verification
+// code inspects its extents after a run.
 type Disk struct {
 	params Params
 	noise  *vclock.Noise
@@ -115,17 +114,13 @@ type Disk struct {
 	// slower). 1 for a private commodity disk.
 	contention float64 //mheta:units ratio
 
-	// mu guards only the extent store: timing state below it is owned by
-	// the rank goroutine, but verification code (tests, the experiment
-	// harness) inspects extents while other ranks may still be writing.
-	mu    sync.Mutex
-	store map[string][]byte //mheta:guardedby mu
+	store map[string][]byte
 	// sizes holds the size-only extents (see Reserve); a name is in at
 	// most one of store and sizes.
-	sizes map[string]int //mheta:guardedby mu
+	sizes map[string]int
 
 	busyUntil vclock.Time
-	pending   map[int]*pendingRead
+	pending   map[int]pendingRead
 	nextTag   int
 	mode      Mode
 
@@ -149,7 +144,7 @@ func New(p Params, noise *vclock.Noise) *Disk {
 		contention: 1,
 		store:      make(map[string][]byte),
 		sizes:      make(map[string]int),
-		pending:    make(map[int]*pendingRead),
+		pending:    make(map[int]pendingRead),
 	}
 }
 
@@ -197,8 +192,6 @@ func (d *Disk) GetMode() Mode { return d.mode }
 // matching the paper's Local Placement rule (each node's block starts on
 // its local disk).
 func (d *Disk) Store(name string, data []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.sizes, name)
 	d.store[name] = append([]byte(nil), data...)
 }
@@ -208,8 +201,6 @@ func (d *Disk) Store(name string, data []byte) {
 // and timed exactly like those of a stored extent, but keep no bytes:
 // reads return zeros and writes copy nothing.
 func (d *Disk) Reserve(name string, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.store, name)
 	d.sizes[name] = n
 }
@@ -218,8 +209,6 @@ func (d *Disk) Reserve(name string, n int) {
 // verification helper; charges no time. It panics on a size-only extent,
 // which has no values to inspect.
 func (d *Disk) Extent(name string) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, ok := d.sizes[name]; ok {
 		panic(fmt.Sprintf("disksim: extent %q is size-only and holds no data (run exec with Options.Numerics to keep values)", name))
 	}
@@ -232,8 +221,6 @@ func (d *Disk) Extent(name string) []byte {
 
 // Extents returns the sorted names of all extents on the disk.
 func (d *Disk) Extents() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	names := make([]string, 0, len(d.store)+len(d.sizes))
 	for k := range d.store {
 		names = append(names, k)
@@ -247,8 +234,6 @@ func (d *Disk) Extents() []string {
 
 // Size returns the size in bytes of the named extent (0 if absent).
 func (d *Disk) Size(name string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if n, ok := d.sizes[name]; ok {
 		return n
 	}
@@ -258,8 +243,6 @@ func (d *Disk) Size(name string) int {
 // span bounds-checks [off, off+n) of the named extent, panicking with
 // op's message when the extent is missing or too short. It returns the
 // stored bytes, or nil for a size-only extent.
-//
-//mheta:locks requires mu
 func (d *Disk) span(op, name string, off, n int) []byte {
 	b, ok := d.store[name]
 	size := len(b)
@@ -284,8 +267,6 @@ func (d *Disk) span(op, name string, off, n int) []byte {
 // readData returns a private copy of [off, off+n) of the named extent, or
 // shared zeros for a size-only one.
 func (d *Disk) readData(name string, off, n int) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if b := d.span("read", name, off, n); b != nil {
 		return append([]byte(nil), b...)
 	}
@@ -295,8 +276,6 @@ func (d *Disk) readData(name string, off, n int) []byte {
 // writeData bounds-checks a write and stores data unless the extent is
 // size-only.
 func (d *Disk) writeData(name string, off int, data []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if b := d.span("write", name, off, len(data)); b != nil {
 		copy(b, data)
 	}
@@ -362,7 +341,7 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	d.Prefetches++
 	if d.mode == ModeInstrument {
 		_, _ = d.Read(clk, name, off, n)
-		d.pending[tag] = &pendingRead{name: name, off: off, n: n, complete: clk.Now()}
+		d.pending[tag] = pendingRead{name: name, off: off, n: n, complete: clk.Now()}
 		return tag
 	}
 	clk.Advance(d.params.IssueCost)
@@ -370,7 +349,7 @@ func (d *Disk) PrefetchIssue(clk *vclock.Clock, name string, off, n int) int {
 	complete := d.serviceTime(clk.Now(), cost)
 	d.BytesRead += int64(n)
 	d.Reads++
-	d.pending[tag] = &pendingRead{name: name, off: off, n: n, complete: complete}
+	d.pending[tag] = pendingRead{name: name, off: off, n: n, complete: complete}
 	return tag
 }
 
@@ -400,7 +379,7 @@ func (d *Disk) OutstandingPrefetches() int { return len(d.pending) }
 // discarding stored data.
 func (d *Disk) ResetTiming() {
 	d.busyUntil = 0
-	d.pending = make(map[int]*pendingRead)
+	clear(d.pending)
 	d.nextTag = 0
 	d.Reads, d.Writes, d.Prefetches = 0, 0, 0
 	d.BytesRead, d.BytesWritten = 0, 0

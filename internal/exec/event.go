@@ -50,9 +50,11 @@ type evRank struct {
 	tile     int
 	secStart vclock.Time
 
-	barrier *mpi.BarrierSM
-	allred  *mpi.AllreduceSM
-	recv    *mpi.RecvOp
+	// The park-capable ops, held by value and reinitialised for each
+	// use so a run allocates none of them.
+	barrier mpi.BarrierSM
+	allred  mpi.AllreduceSM
+	recv    mpi.RecvOp
 }
 
 // runEvent drives all ranks through World.Run until every rank
@@ -81,14 +83,13 @@ func (m *evRank) step() bool {
 			// Rank-local setup, then align all ranks before the measured
 			// region.
 			m.nc = m.env.setupRank(m.r)
-			m.barrier = &mpi.BarrierSM{Tag: 1 << 16}
+			m.barrier = mpi.BarrierSM{Tag: 1 << 16}
 			m.pc = pcBarrier
 
 		case pcBarrier:
 			if !m.barrier.Step(m.r) {
 				return false
 			}
-			m.barrier = nil
 			m.env.starts[m.r.Rank()] = float64(m.r.Now())
 			m.nc.Iter = 0
 			m.sec = 0
@@ -136,16 +137,16 @@ func (m *evRank) step() bool {
 					// Send left, send right, receive left, receive right —
 					// the order the model's recurrence mirrors.
 					i := m.nc.actIdx
-					tag := sectionTag(m.sec)
 					if i > 0 {
-						m.r.Send(m.nc.actives[i-1], tag, m.nc.boundaryMsg(m.sec, 0, -1))
+						m.nc.sendBoundary(m.sec, 0, -1)
 					}
 					if i < len(m.nc.actives)-1 {
-						m.r.Send(m.nc.actives[i+1], tag, m.nc.boundaryMsg(m.sec, 0, +1))
+						m.nc.sendBoundary(m.sec, 0, +1)
 					}
+					m.recvBoundary(-1)
 					m.pc = pcNNRecvLeft
 				case program.CommReduction:
-					m.allred = &mpi.AllreduceSM{Tag: sectionTag(m.sec), Op: mpi.OpSum, Vals: m.nc.reduceVal(m.sec)}
+					m.allred = m.nc.reduction(m.sec)
 					m.pc = pcReduce
 				default:
 					panic(fmt.Sprintf("exec: unsupported comm pattern %v", s.Comm))
@@ -163,48 +164,38 @@ func (m *evRank) step() bool {
 				m.nc.jack.EnterTile(m.tile)
 			}
 			if m.nc.actIdx > 0 {
-				m.recv = &mpi.RecvOp{Src: m.nc.actives[m.nc.actIdx-1], Tag: sectionTag(m.sec)}
+				m.recvBoundary(-1)
 				m.pc = pcPipeRecv
 				continue
 			}
 			m.pipeBody(s)
 
 		case pcPipeRecv:
-			data, ok := m.r.TryRecv(m.recv)
+			data, ok := m.r.TryRecv(&m.recv)
 			if !ok {
 				return false
 			}
-			m.recv = nil
 			m.nc.onBoundary(m.sec, m.tile, -1, data)
 			m.pipeBody(&m.nc.Prog.Sections[m.sec])
 			m.pc = pcPipeTile
 
 		case pcNNRecvLeft:
-			i := m.nc.actIdx
-			if i > 0 {
-				if m.recv == nil {
-					m.recv = &mpi.RecvOp{Src: m.nc.actives[i-1], Tag: sectionTag(m.sec)}
-				}
-				data, ok := m.r.TryRecv(m.recv)
+			if m.nc.actIdx > 0 {
+				data, ok := m.r.TryRecv(&m.recv)
 				if !ok {
 					return false
 				}
-				m.recv = nil
 				m.nc.onBoundary(m.sec, 0, -1, data)
 			}
+			m.recvBoundary(+1)
 			m.pc = pcNNRecvRight
 
 		case pcNNRecvRight:
-			i := m.nc.actIdx
-			if i < len(m.nc.actives)-1 {
-				if m.recv == nil {
-					m.recv = &mpi.RecvOp{Src: m.nc.actives[i+1], Tag: sectionTag(m.sec)}
-				}
-				data, ok := m.r.TryRecv(m.recv)
+			if m.nc.actIdx < len(m.nc.actives)-1 {
+				data, ok := m.r.TryRecv(&m.recv)
 				if !ok {
 					return false
 				}
-				m.recv = nil
 				m.nc.onBoundary(m.sec, 0, +1, data)
 			}
 			m.pc = pcSectionEnd
@@ -214,7 +205,6 @@ func (m *evRank) step() bool {
 				return false
 			}
 			m.nc.onReduce(m.sec, m.allred.Result())
-			m.allred = nil
 			m.pc = pcSectionEnd
 
 		case pcSectionEnd:
@@ -253,7 +243,17 @@ func (m *evRank) pipeBody(s *program.Section) {
 		m.nc.runStage(m.sec, sti, m.tile, s)
 	}
 	if m.nc.actIdx < len(m.nc.actives)-1 {
-		m.r.Send(m.nc.actives[m.nc.actIdx+1], sectionTag(m.sec), m.nc.boundaryMsg(m.sec, m.tile, +1))
+		m.nc.sendBoundary(m.sec, m.tile, +1)
 	}
 	m.tile++
+}
+
+// recvBoundary readies m.recv for the current section's boundary
+// message from the active neighbour in direction dir. The neighbour
+// need not exist; the receive states check before using the op.
+func (m *evRank) recvBoundary(dir int) {
+	m.recv = mpi.RecvOp{Tag: sectionTag(m.sec)}
+	if j := m.nc.actIdx + dir; j >= 0 && j < len(m.nc.actives) {
+		m.recv.Src = m.nc.actives[j]
+	}
 }

@@ -8,7 +8,8 @@
 // from State.Work, chunk and extent sizes, and the message sizes the IR
 // declares (MsgBytesPerNeighbor, ReduceBytes). Virtual time never depends
 // on data values, so by default that is all a run computes: datasets are
-// size-only disk extents and messages carry zeros. The data plane — the
+// size-only disk extents, and messages and reductions carry only their
+// sizes (mpi.Rank.SendSize, size-only collectives). The data plane — the
 // applications' real numeric kernels over real bytes — runs only when
 // Options.Numerics is set, for callers that inspect computed values (the
 // applications' reference tests, examples). Both planes run the same
@@ -187,10 +188,6 @@ type runEnv struct {
 	ends       []float64
 	// errs[p] is the first data-plane contract violation on rank p.
 	errs []error
-	// zeroMsg and zeroVals are the shared, read-only payloads of
-	// timing-only sends and reductions, sized for the largest declared.
-	zeroMsg  []byte
-	zeroVals []float64
 }
 
 // Run executes app under distribution d on world w.
@@ -233,14 +230,11 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 	if opts.Mode == ModeInstrument {
 		iters = 1
 	}
-	var maxMsg, maxReduce int64
 	for _, s := range app.Prog.Sections {
 		if s.MsgBytesPerNeighbor < 0 || s.ReduceBytes < 0 || s.ReduceBytes%8 != 0 {
 			return nil, fmt.Errorf("exec: program %q section %q: MsgBytesPerNeighbor %d, ReduceBytes %d: sizes must be non-negative and reductions whole float64s",
 				app.Prog.Name, s.Name, s.MsgBytesPerNeighbor, s.ReduceBytes)
 		}
-		maxMsg = max(maxMsg, s.MsgBytesPerNeighbor)
-		maxReduce = max(maxReduce, s.ReduceBytes)
 	}
 
 	n := w.Size()
@@ -257,10 +251,6 @@ func prepare(w *mpi.World, app *App, d dist.Distribution, opts Options) (*runEnv
 		starts:     make([]float64, n),
 		ends:       make([]float64, n),
 		errs:       make([]error, n),
-	}
-	if !opts.Numerics {
-		env.zeroMsg = make([]byte, maxMsg)
-		env.zeroVals = make([]float64, maxReduce/8)
 	}
 	row := 0
 	for p, wk := range d {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mheta/internal/memsim"
+	"mheta/internal/mpi"
 	"mheta/internal/program"
 	"mheta/internal/vclock"
 )
@@ -66,12 +67,15 @@ func (nc *NodeCtx) runStage(si, sti, tile int, s *program.Section) {
 }
 
 // streamVar resolves the stage's streamed distributed variable, nil when
-// the stage only touches in-core or replicated data.
+// the stage only touches in-core or replicated data (Run validated every
+// name). The result points into Prog.Variables, so a stage resolves it
+// without allocating.
 func (nc *NodeCtx) streamVar(st *program.Stage) *program.Variable {
 	for _, u := range st.Uses {
-		v := nc.Prog.MustVar(u.Name)
-		if v.Distributed {
-			return &v
+		for i := range nc.Prog.Variables {
+			if v := &nc.Prog.Variables[i]; v.Name == u.Name && v.Distributed {
+				return v
+			}
 		}
 	}
 	return nil
@@ -206,20 +210,23 @@ func (nc *NodeCtx) process(si, sti, tile, gRow, nRows int, buf []byte) {
 	nc.compute(work)
 }
 
-// boundaryMsg is the payload sent to the neighbour in direction dir: the
-// application's in numerics runs, checked against the declared size, and
-// shared zeros of that size otherwise.
-func (nc *NodeCtx) boundaryMsg(si, tile, dir int) []byte {
+// sendBoundary sends the section's boundary message to the active
+// neighbour in direction dir: the application's payload in numerics
+// runs, checked against the declared MsgBytesPerNeighbor, and a
+// size-only message of that size otherwise.
+func (nc *NodeCtx) sendBoundary(si, tile, dir int) {
+	dst, tag := nc.actives[nc.actIdx+dir], sectionTag(si)
 	want := nc.Prog.Sections[si].MsgBytesPerNeighbor
 	if !nc.env.opts.Numerics {
-		return nc.env.zeroMsg[:want]
+		nc.R.SendSize(dst, tag, int(want))
+		return
 	}
 	msg := nc.state.BoundaryMsg(nc, si, tile, dir)
 	if int64(len(msg)) != want {
 		nc.fail(fmt.Errorf("exec: program %q section %d: rank %d sent a %d-byte boundary message, the IR declares MsgBytesPerNeighbor %d",
 			nc.Prog.Name, si, nc.R.Rank(), len(msg), want))
 	}
-	return msg
+	nc.R.Send(dst, tag, msg)
 }
 
 // onBoundary delivers a received boundary payload (numerics runs only).
@@ -229,20 +236,21 @@ func (nc *NodeCtx) onBoundary(si, tile, dir int, data []byte) {
 	}
 }
 
-// reduceVal is this rank's reduction contribution: the application's in
-// numerics runs, checked against the declared ReduceBytes, and shared
-// zeros of that size otherwise.
-func (nc *NodeCtx) reduceVal(si int) []float64 {
+// reduction is the section-ending allreduce of the declared ReduceBytes:
+// over the application's contribution in numerics runs, checked against
+// that size, and size-only otherwise.
+func (nc *NodeCtx) reduction(si int) mpi.AllreduceSM {
 	want := nc.Prog.Sections[si].ReduceBytes
+	sm := mpi.AllreduceSM{Tag: sectionTag(si), Op: mpi.OpSum, Len: int(want / 8)}
 	if !nc.env.opts.Numerics {
-		return nc.env.zeroVals[:want/8]
+		return sm
 	}
-	vals := nc.state.ReduceVal(nc, si)
-	if 8*int64(len(vals)) != want {
+	sm.Vals = nc.state.ReduceVal(nc, si)
+	if 8*int64(len(sm.Vals)) != want {
 		nc.fail(fmt.Errorf("exec: program %q section %d: rank %d contributed %d reduction values (%d bytes), the IR declares ReduceBytes %d",
-			nc.Prog.Name, si, nc.R.Rank(), len(vals), 8*len(vals), want))
+			nc.Prog.Name, si, nc.R.Rank(), len(sm.Vals), 8*len(sm.Vals), want))
 	}
-	return vals
+	return sm
 }
 
 // onReduce delivers a reduction result (numerics runs only).

@@ -79,10 +79,12 @@ func recv(r *mpi.Rank, src, tag int) []byte {
 // Protocol per (size, rep): rank 1 sends a "ready" token and posts its
 // receive; rank 0 consumes the token, sends the timed payload, and
 // follows with a tiny message carrying the virtual timestamp at which the
-// payload's send completed. On rank 1 the PMPI probe yields the receive's
-// start, wait and end, from which the arrival time, the receive overhead
-// or(m), and — against the sender's timestamp — the wire time all follow.
-// The send overhead os(m) is timed directly on rank 0.
+// payload's send completed. Only the payload's size is timed, so it is
+// sent size-only; the stamp carries data. On rank 1 the PMPI probe yields
+// the receive's start, wait and end, from which the arrival time, the
+// receive overhead or(m), and — against the sender's timestamp — the
+// wire time all follow. The send overhead os(m) is timed directly on
+// rank 0.
 //
 // Both ranks' operations are issued in that order from the caller: each
 // receive comes after its matching send, so none ever waits for a
@@ -102,12 +104,11 @@ func MicroBenchNet(w *mpi.World, reps int) core.NetParams {
 	defer r1.SetProfiler(nil)
 	for _, size := range []int{netSizeSmall, netSizeLarge} {
 		var osSum, orSum, wireSum float64
-		payload := make([]byte, size)
 		for rep := 0; rep < reps; rep++ {
 			r1.Send(0, tagReady, stamp(0))
 			recv(r0, 1, tagReady)
 			t0 := r0.Now()
-			r0.Send(1, tagData, payload)
+			r0.SendSize(1, tagData, size)
 			se := r0.Now()
 			osSum += float64(se - t0)
 			r0.Send(1, tagStamp, stamp(float64(se)))

@@ -6,6 +6,7 @@
 package internal_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -237,7 +238,8 @@ func TestReductionModelMatchesEmulatorExactly(t *testing.T) {
 
 // FuzzReductionMatchesModel widens TestReductionModelMatchesEmulatorExactly
 // to random world sizes (1–64 ranks), per-rank compute skews and payload
-// sizes.
+// sizes, and also requires the size-only allreduce to keep the payload
+// run's clocks bit for bit.
 func FuzzReductionMatchesModel(f *testing.F) {
 	f.Add(uint8(0), uint64(0), uint8(8))
 	f.Add(uint8(9), uint64(7), uint8(1))
@@ -248,35 +250,66 @@ func FuzzReductionMatchesModel(f *testing.F) {
 		for i := range skews {
 			skews[i] = rng.Float64() * 0.05
 		}
-		checkReductionModel(t, skews, 8*int64(words))
+		payload := 8 * int64(words)
+		want := checkReductionModel(t, skews, payload)
+		got := runAllreduce(t, skews, payload, true)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d payload=%d rank %d: size-only allreduce ends at %v, payload allreduce at %v", len(skews), payload, i, got[i], want[i])
+			}
+		}
 	})
 }
 
-// checkReductionModel runs, on len(skews) noise-free ranks, a compute of
-// skews[p] seconds on rank p followed by an Allreduce of payload bytes,
-// and demands that every rank's clock equals the model's prediction for
-// a one-section reduction program with those compute times.
-func checkReductionModel(t *testing.T, skews []float64, payload int64) {
+// runAllreduce runs, on len(skews) noise-free ranks, a compute of
+// skews[p] seconds on rank p followed by an Allreduce of payload bytes
+// (size-only when sizeOnly is set), and returns every rank's clock.
+func runAllreduce(t *testing.T, skews []float64, payload int64, sizeOnly bool) []float64 {
 	t.Helper()
 	n := len(skews)
-	spec := cluster.DC(2)
-	spec.Nodes = make([]cluster.NodeSpec, n)
-	for i := range spec.Nodes {
-		spec.Nodes[i] = cluster.NodeSpec{CPUPower: 1, MemoryBytes: 8 << 20, DiskScale: 1}
-	}
-	w := mpi.NewWorld(spec, 1, 0)
+	w := mpi.NewWorld(reductionSpec(n), 1, 0)
 	sms := make([]*mpi.AllreduceSM, n)
 	err := w.Run(func(r *mpi.Rank) bool {
 		p := r.Rank()
 		if sms[p] == nil {
 			r.Compute(skews[p], 1)
-			sms[p] = &mpi.AllreduceSM{Tag: 3, Op: mpi.OpSum, Vals: make([]float64, payload/8)}
+			sms[p] = &mpi.AllreduceSM{Tag: 3, Op: mpi.OpSum, Len: int(payload / 8)}
+			if !sizeOnly {
+				sms[p].Vals = make([]float64, payload/8)
+			}
 		}
 		return sms[p].Step(r)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clocks := make([]float64, n)
+	for i := range clocks {
+		clocks[i] = float64(w.Rank(i).Now())
+	}
+	return clocks
+}
+
+// reductionSpec is an n-node cluster of identical power-1 nodes on the
+// Table 1 network.
+func reductionSpec(n int) cluster.Spec {
+	spec := cluster.DC(2)
+	spec.Nodes = make([]cluster.NodeSpec, n)
+	for i := range spec.Nodes {
+		spec.Nodes[i] = cluster.NodeSpec{CPUPower: 1, MemoryBytes: 8 << 20, DiskScale: 1}
+	}
+	return spec
+}
+
+// checkReductionModel runs the payload allreduce of runAllreduce and
+// demands that every rank's clock equals the model's prediction for a
+// one-section reduction program with those compute times. It returns
+// the clocks.
+func checkReductionModel(t *testing.T, skews []float64, payload int64) []float64 {
+	t.Helper()
+	n := len(skews)
+	spec := reductionSpec(n)
+	clocks := runAllreduce(t, skews, payload, false)
 
 	// Build a one-section reduction model with compute rates equal to
 	// the skews (1 element per node).
@@ -307,11 +340,11 @@ func checkReductionModel(t *testing.T, skews []float64, payload int64) {
 	pred := model.PredictDetailed(d)
 	for i := 0; i < n; i++ {
 		got := pred.SectionTimes[0][i]
-		want := float64(w.Rank(i).Now())
-		if diff := got - want; diff < -1e-12 || diff > 1e-12 {
-			t.Fatalf("n=%d payload=%d rank %d: model %.12f vs emulator %.12f", n, payload, i, got, want)
+		if diff := got - clocks[i]; diff < -1e-12 || diff > 1e-12 {
+			t.Fatalf("n=%d payload=%d rank %d: model %.12f vs emulator %.12f", n, payload, i, got, clocks[i])
 		}
 	}
+	return clocks
 }
 
 func TestNonuniformIterationsEndToEnd(t *testing.T) {

@@ -46,19 +46,33 @@ func decodeF64s(b []byte) []float64 {
 	return xs
 }
 
+// elems is a collective's element count: len(vals) when it carries
+// values, n when it is size-only (vals nil).
+func elems(vals []float64, n int) int {
+	if vals != nil {
+		return len(vals)
+	}
+	return n
+}
+
 // ReduceSM combines each rank's Vals element-wise with Op onto the Root
-// rank over a binomial tree. Step returns false when the rank parked
-// mid-tree; retry after World.Run resumes it.
+// rank over a binomial tree. With Vals nil it is size-only: it sends and
+// receives Len-element messages with no values in them, at exactly the
+// virtual-time and profiler cost of a Vals of Len elements. Step returns
+// false when the rank parked mid-tree; retry after World.Run resumes it.
 type ReduceSM struct {
 	Root, Tag int
 	Op        ReduceOp
 	Vals      []float64
+	// Len is the element count of a size-only reduction; it is ignored
+	// when Vals is set.
+	Len int
 
 	started bool
 	ci      CallInfo
 	acc     []float64
 	mask    int
-	recv    *RecvOp
+	recv    RecvOp
 }
 
 // Step advances the reduction until it completes (true) or parks
@@ -66,9 +80,11 @@ type ReduceSM struct {
 func (s *ReduceSM) Step(r *Rank) bool {
 	n := r.Size()
 	if !s.started {
-		s.ci = CallInfo{Kind: CallReduce, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
+		s.ci = CallInfo{Kind: CallReduce, Peer: s.Root, Bytes: 8 * elems(s.Vals, s.Len), Tag: s.Tag}
 		r.pre(&s.ci)
-		s.acc = append([]float64(nil), s.Vals...)
+		if s.Vals != nil {
+			s.acc = append([]float64(nil), s.Vals...)
+		}
 		s.mask = 1
 		s.started = true
 	}
@@ -77,23 +93,29 @@ func (s *ReduceSM) Step(r *Rank) bool {
 	for ; s.mask < n; s.mask <<= 1 {
 		if rel&s.mask != 0 {
 			parent := ((rel - s.mask) + s.Root) % n
-			r.Send(parent, itag, encodeF64s(s.acc))
+			if s.Vals != nil {
+				r.send(parent, itag, s.ci.Bytes, encodeF64s(s.acc))
+			} else {
+				r.SendSize(parent, itag, s.ci.Bytes)
+			}
 			s.acc = nil
 			break
 		}
 		if rel+s.mask < n {
 			child := (rel + s.mask + s.Root) % n
-			if s.recv == nil {
-				s.recv = &RecvOp{Src: child, Tag: itag}
+			if !s.recv.started {
+				s.recv = RecvOp{Src: child, Tag: itag}
 			}
-			data, ok := r.TryRecv(s.recv)
+			data, ok := r.TryRecv(&s.recv)
 			if !ok {
 				return false
 			}
-			s.recv = nil
-			got := decodeF64s(data)
-			for i := range s.acc {
-				s.acc[i] = s.Op(s.acc[i], got[i])
+			s.recv = RecvOp{}
+			if s.Vals != nil {
+				got := decodeF64s(data)
+				for i := range s.acc {
+					s.acc[i] = s.Op(s.acc[i], got[i])
+				}
 			}
 		}
 	}
@@ -101,23 +123,27 @@ func (s *ReduceSM) Step(r *Rank) bool {
 	return true
 }
 
-// Result returns the combined vector on the root, nil elsewhere. Valid
-// once Step returned true.
+// Result returns the combined vector on the root, nil elsewhere and in a
+// size-only reduction. Valid once Step returned true.
 func (s *ReduceSM) Result() []float64 { return s.acc }
 
 // BcastSM distributes the Root's Vals to every rank over a binomial tree
 // (one park point: the receive from the parent; forwarding to children
-// never blocks). Every rank passes Vals of the same length; only the
-// root's values are sent.
+// never blocks). Every rank passes Vals of the same length, and only the
+// root's values are sent; or every rank passes nil Vals and the same
+// Len, and the broadcast is size-only, as in ReduceSM.
 type BcastSM struct {
 	Root, Tag int
 	Vals      []float64
+	// Len is the element count of a size-only broadcast; it is ignored
+	// when Vals is set.
+	Len int
 
 	started    bool
 	ci         CallInfo
 	mask       int
 	forwarding bool
-	recv       *RecvOp
+	recv       RecvOp
 	vals       []float64
 }
 
@@ -128,7 +154,7 @@ func (s *BcastSM) Step(r *Rank) bool {
 	rel := (r.rank - s.Root + n) % n
 	itag := reservedTagBase + (1 << 20) + s.Tag
 	if !s.started {
-		s.ci = CallInfo{Kind: CallBcast, Peer: s.Root, Bytes: 8 * len(s.Vals), Tag: s.Tag}
+		s.ci = CallInfo{Kind: CallBcast, Peer: s.Root, Bytes: 8 * elems(s.Vals, s.Len), Tag: s.Tag}
 		r.pre(&s.ci)
 		s.vals = s.Vals
 		s.mask = 1
@@ -138,15 +164,17 @@ func (s *BcastSM) Step(r *Rank) bool {
 		for s.mask < n {
 			if rel&s.mask != 0 {
 				parent := ((rel &^ s.mask) + s.Root) % n
-				if s.recv == nil {
-					s.recv = &RecvOp{Src: parent, Tag: itag}
+				if !s.recv.started {
+					s.recv = RecvOp{Src: parent, Tag: itag}
 				}
-				data, ok := r.TryRecv(s.recv)
+				data, ok := r.TryRecv(&s.recv)
 				if !ok {
 					return false
 				}
-				s.recv = nil
-				s.vals = decodeF64s(data)
+				s.recv = RecvOp{}
+				if s.Vals != nil {
+					s.vals = decodeF64s(data)
+				}
 				break
 			}
 			s.mask <<= 1
@@ -157,58 +185,69 @@ func (s *BcastSM) Step(r *Rank) bool {
 	for ; s.mask >= 1; s.mask >>= 1 {
 		if rel+s.mask < n && rel&(s.mask-1) == 0 && rel&s.mask == 0 {
 			child := (rel + s.mask + s.Root) % n
-			r.Send(child, itag, encodeF64s(s.vals))
+			if s.Vals != nil {
+				r.send(child, itag, 8*len(s.vals), encodeF64s(s.vals))
+			} else {
+				r.SendSize(child, itag, s.ci.Bytes)
+			}
 		}
 	}
 	r.post(&s.ci)
 	return true
 }
 
-// Result returns the broadcast vector. Valid once Step returned true.
+// Result returns the broadcast vector, nil in a size-only broadcast.
+// Valid once Step returned true.
 func (s *BcastSM) Result() []float64 { return s.vals }
 
 // AllreduceSM is a ReduceSM to rank 0 followed by a BcastSM from rank 0,
-// the structure the MHETA reduction model mirrors.
+// the structure the MHETA reduction model mirrors. With Vals nil it is
+// size-only, moving Len-element messages, as in ReduceSM.
 type AllreduceSM struct {
 	Tag  int
 	Op   ReduceOp
 	Vals []float64
+	// Len is the element count of a size-only allreduce; it is ignored
+	// when Vals is set.
+	Len int
 
-	reduce *ReduceSM
-	bcast  *BcastSM
+	reduce ReduceSM
+	bcast  BcastSM
 }
 
 // Step advances the allreduce until it completes (true) or parks
 // (false).
 func (s *AllreduceSM) Step(r *Rank) bool {
-	if s.bcast == nil {
-		if s.reduce == nil {
-			s.reduce = &ReduceSM{Root: 0, Tag: s.Tag, Op: s.Op, Vals: s.Vals}
+	if !s.bcast.started {
+		if !s.reduce.started {
+			s.reduce = ReduceSM{Root: 0, Tag: s.Tag, Op: s.Op, Vals: s.Vals, Len: s.Len}
 		}
 		if !s.reduce.Step(r) {
 			return false
 		}
-		acc := s.reduce.Result()
-		if r.rank != 0 {
-			acc = make([]float64, len(s.Vals))
+		s.bcast = BcastSM{Root: 0, Tag: s.Tag, Len: s.Len}
+		if s.Vals != nil {
+			s.bcast.Vals = s.reduce.Result()
+			if r.rank != 0 {
+				s.bcast.Vals = make([]float64, len(s.Vals))
+			}
 		}
-		s.bcast = &BcastSM{Root: 0, Tag: s.Tag, Vals: acc}
 	}
 	return s.bcast.Step(r)
 }
 
-// Result returns the combined vector, identical on every rank. Valid
-// once Step returned true.
+// Result returns the combined vector, identical on every rank, or nil in
+// a size-only allreduce. Valid once Step returned true.
 func (s *AllreduceSM) Result() []float64 { return s.bcast.Result() }
 
-// BarrierSM synchronises all ranks: an empty AllreduceSM under the
-// Barrier CallInfo.
+// BarrierSM synchronises all ranks: an empty size-only AllreduceSM under
+// the Barrier CallInfo.
 type BarrierSM struct {
 	Tag int
 
 	started bool
 	ci      CallInfo
-	all     *AllreduceSM
+	all     AllreduceSM
 }
 
 // Step advances the barrier until it completes (true) or parks (false).
@@ -216,7 +255,7 @@ func (s *BarrierSM) Step(r *Rank) bool {
 	if !s.started {
 		s.ci = CallInfo{Kind: CallBarrier, Tag: s.Tag}
 		r.pre(&s.ci)
-		s.all = &AllreduceSM{Tag: s.Tag + (1 << 21), Op: OpSum, Vals: nil}
+		s.all = AllreduceSM{Tag: s.Tag + (1 << 21), Op: OpSum}
 		s.started = true
 	}
 	if !s.all.Step(r) {

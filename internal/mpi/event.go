@@ -39,7 +39,8 @@ type RecvOp struct {
 
 // TryRecv attempts the receive described by op. On a match it advances
 // the clock to the message's arrival (the blocked span is the CallInfo's
-// Wait), charges or(m), fires the Post hook and returns the payload. On
+// Wait), charges or(m) for the message's size, fires the Post hook and
+// returns the payload (nil for a SendSize message). On
 // a miss inside World.Run it parks the rank on (src, tag) and returns
 // false: the step function must return false and retry the same op when
 // Run resumes the rank. Outside World.Run nothing could resume the rank,
@@ -62,9 +63,9 @@ func (r *Rank) TryRecv(op *RecvOp) ([]byte, bool) {
 		s.Park(r.rank, op.Src, op.Tag, r.clk.Now())
 		return nil, false
 	}
-	op.ci.Bytes = len(m.Data)
+	op.ci.Bytes = m.Bytes
 	op.ci.Wait = r.clk.WaitUntil(m.Arrival)
-	r.clk.Advance(r.netNz.Perturb(r.world.net.RecvCost(op.Src, r.rank, len(m.Data))))
+	r.clk.Advance(r.netNz.Perturb(r.world.net.RecvCost(op.Src, r.rank, m.Bytes)))
 	r.post(&op.ci)
 	return m.Data, true
 }

@@ -9,6 +9,8 @@
 //   - Send charges the sender os(m) = fixed overhead + per-byte copy cost
 //     and is asynchronous — the message is buffered, the sender never
 //     blocks ("both nodes perform their sends before blocking").
+//     SendSize is the same send without a payload: timing depends only on
+//     a message's size m, so a run that keeps no values moves sizes.
 //   - A message becomes available at the receiver at
 //     sendFinish + transferTime.
 //   - A receive (TryRecv) waits in virtual time until availability, then
@@ -72,7 +74,9 @@ func (k CallKind) String() string {
 }
 
 // CallInfo describes one intercepted operation. The profiling layer's Pre
-// hook sees Start filled in; Post sees End and Wait as well.
+// hook sees Start filled in; Post sees End and Wait as well. The runtime
+// reuses CallInfo storage across operations (see Profiler), so a hook
+// that keeps a call's details copies the struct.
 type CallInfo struct {
 	Kind  CallKind
 	Rank  int
@@ -92,6 +96,12 @@ func (c *CallInfo) Duration() vclock.Duration { return vclock.Duration(c.End - c
 
 // Profiler intercepts runtime calls, PMPI-style. Implementations must be
 // cheap; they run on every operation of the instrumented rank.
+//
+// The *CallInfo a hook receives is valid only for the duration of that
+// hook: leaf operations (Compute, Send, SendSize, File*) fill one
+// CallInfo owned by the rank, and receives and collectives one owned by
+// their op or state machine, so no operation allocates one. A hook must
+// not retain the pointer.
 type Profiler interface {
 	Pre(*CallInfo)
 	Post(*CallInfo)
@@ -185,6 +195,9 @@ type Rank struct {
 	cpuPower float64
 	memBytes int64
 	prof     Profiler
+	// ci is the CallInfo of the leaf operation in progress; leaf
+	// operations never nest, so one per rank suffices.
+	ci CallInfo
 	// Interference models a non-dedicated environment (§3.2 assumes a
 	// dedicated one and defers multiprogramming to future work): external
 	// load steals CPU, inflating compute times by a deterministic,
@@ -269,7 +282,7 @@ func (r *Rank) interferenceFactor() float64 {
 // work is in abstract units; unitCost is the application's
 // seconds-per-unit on a power-1.0 node.
 func (r *Rank) Compute(work, unitCost float64) {
-	ci := &CallInfo{Kind: CallCompute}
+	ci := r.leaf(CallInfo{Kind: CallCompute})
 	r.pre(ci)
 	if work > 0 {
 		d := vclock.Duration(work * unitCost / r.cpuPower * r.interferenceFactor())
@@ -278,17 +291,43 @@ func (r *Rank) Compute(work, unitCost float64) {
 	r.post(ci)
 }
 
-// Send transmits data to rank dst with the given tag. It charges the
-// sender os(m) and never blocks.
+// Send transmits a copy of data to rank dst with the given tag. It
+// charges the sender os(m) and never blocks.
 func (r *Rank) Send(dst, tag int, data []byte) {
+	r.send(dst, tag, len(data), append([]byte(nil), data...))
+}
+
+// SendSize transmits an n-byte message without a payload: it costs
+// exactly what Send of n bytes costs, in virtual time and in profiler
+// hooks, and the receiver's TryRecv returns nil data. Runs that keep no
+// values use it, since no clock depends on what a message holds.
+//
+//mheta:units bytes n
+func (r *Rank) SendSize(dst, tag, n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("mpi: SendSize of %d bytes", n))
+	}
+	r.send(dst, tag, n, nil)
+}
+
+// send charges os(n), stamps the arrival and queues an n-byte message
+// carrying payload (nil for a size-only one).
+//
+//mheta:units bytes n
+func (r *Rank) send(dst, tag, n int, payload []byte) {
 	if dst == r.rank {
 		panic("mpi: Send to self")
 	}
-	ci := &CallInfo{Kind: CallSend, Peer: dst, Bytes: len(data), Tag: tag}
+	ci := r.leaf(CallInfo{Kind: CallSend, Peer: dst, Bytes: n, Tag: tag})
 	r.pre(ci)
-	r.clk.Advance(r.netNz.Perturb(r.world.net.SendCost(r.rank, dst, len(data))))
-	arrival := r.clk.Now() + vclock.Time(r.netNz.Perturb(r.world.net.TransferTime(r.rank, dst, len(data))))
-	payload := append([]byte(nil), data...)
-	r.world.sched.Send(r.rank, dst, sched.Msg{Tag: tag, Data: payload, Arrival: arrival})
+	r.clk.Advance(r.netNz.Perturb(r.world.net.SendCost(r.rank, dst, n)))
+	arrival := r.clk.Now() + vclock.Time(r.netNz.Perturb(r.world.net.TransferTime(r.rank, dst, n)))
+	r.world.sched.Send(r.rank, dst, sched.Msg{Tag: tag, Bytes: n, Data: payload, Arrival: arrival})
 	r.post(ci)
+}
+
+// leaf resets the rank's leaf-operation CallInfo to ci and returns it.
+func (r *Rank) leaf(ci CallInfo) *CallInfo {
+	r.ci = ci
+	return &r.ci
 }

@@ -32,10 +32,13 @@ import (
 // mpi.AnyTag; duplicated here so sched does not import mpi).
 const AnyTag = -1
 
-// Msg is one in-flight message between two ranks. Arrival is the
-// virtual time at which the message becomes available to the receiver.
+// Msg is one in-flight message between two ranks. Bytes is its size,
+// the only property virtual time depends on; Data is its payload, nil
+// for a size-only message. Arrival is the virtual time at which the
+// message becomes available to the receiver.
 type Msg struct {
 	Tag     int
+	Bytes   int //mheta:units bytes
 	Data    []byte
 	Arrival vclock.Time //mheta:units seconds
 }

@@ -188,8 +188,11 @@ type SearchOptions struct {
 func SearchWithOptions(alg string, spec ClusterSpec, app *App, model *Model, seed uint64, opts SearchOptions) (SearchResult, error) {
 	// The delta evaluator replays cached per-width busy terms, scoring
 	// bit-identically to ModelEvaluator but several times faster on the
-	// near-neighbour candidates searches emit.
-	ev := search.ForModel(model, opts.Workers, opts.Metrics, search.NewDeltaModelEvaluator)
+	// near-neighbour candidates searches emit. It runs on a clone, like
+	// serve's engines, so its cache (up to core's 64 MiB cap) is the
+	// search's scratch and dies with it instead of staying on the
+	// caller's model.
+	ev := search.ForModel(model.Clone(), opts.Workers, opts.Metrics, search.NewDeltaModelEvaluator)
 	total := app.Prog.GlobalElems()
 	var s search.Searcher
 	switch alg {

@@ -100,6 +100,28 @@ func TestSearchWithAllAlgorithms(t *testing.T) {
 	}
 }
 
+func TestSearchLeavesCallerModelCold(t *testing.T) {
+	// A search's delta cache is the search's scratch: once
+	// SearchWithOptions returns, the caller's model holds none of it,
+	// inline or pooled.
+	spec := mheta.MustNamedCluster("HY1")
+	cfg := mheta.JacobiDefaults()
+	cfg.Rows, cfg.Cols, cfg.Iterations = 768, 96, 3
+	app := mheta.Jacobi(cfg)
+	model, err := mheta.Instrument(spec, app, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		if _, err := mheta.SearchWithOptions(mheta.AlgGBS, spec, app, model, 42, mheta.SearchOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if st := model.Delta().Stats(); st.Hits+st.Misses+st.FullEvals != 0 {
+			t.Fatalf("workers=%d: the caller's model served the search's evaluations: %+v", workers, st)
+		}
+	}
+}
+
 // TestSearchCountingInvariant pins "every counted evaluation reaches the
 // model exactly once": for each algorithm, inline and pooled, the delta
 // evaluator's hit+full count, the pool's evaluation count and (for GBS,
